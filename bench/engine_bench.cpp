@@ -106,9 +106,12 @@ class Engine {
   EventHandle schedule_periodic(Time period, std::function<void()> fn) {
     auto state = std::make_shared<EventHandle::State>();
     auto arm = std::make_shared<std::function<void(Time)>>();
-    *arm = [this, period, fn = std::move(fn), state, arm](Time when) {
+    // The closure refers to itself weakly; the queued item owns it, so the
+    // chain is freed once its last occurrence leaves the queue.
+    *arm = [this, period, fn = std::move(fn), state,
+            self = std::weak_ptr(arm)](Time when) {
       queue_.push(Item{when, next_seq_++,
-                       [this, period, fn, state, arm] {
+                       [this, period, fn, state, arm = self.lock()] {
                          fn();
                          if (!state->cancelled) (*arm)(now_ + period);
                        },

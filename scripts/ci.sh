@@ -39,10 +39,18 @@ echo "== PDES scaling smoke (sharded/batched/unbatched digest identity + coalesc
 echo "== serving smoke (calm prefix + spike collapse + PDES identity + 1M-rps lazy-arrival gate) =="
 ./build/bench/serving_bench --smoke
 
+echo "== perf suite smoke (replica == entry point, recorded digests, declared metric names) =="
+python3 perfsuite/run.py --smoke
+
 echo "== tsan preset: parallel-executor tests under ThreadSanitizer =="
 cmake --preset tsan
 cmake --build --preset tsan -j "$JOBS"
 ctest --preset tsan
+
+echo "== asan preset: full suite under AddressSanitizer + UBSan =="
+cmake --preset asan
+cmake --build --preset asan -j "$JOBS"
+ctest --preset asan -j "$JOBS"
 
 echo "== release preset: checker hooks compiled out =="
 cmake --preset release

@@ -240,6 +240,13 @@ void InvariantChecker::check_runqueues() {
   std::unordered_map<const hv::Vcpu*, int> queued;
   std::unordered_map<const hv::Vcpu*, const hv::Pcpu*> running_on;
   for (hv::Pcpu& p : hv_->pcpus()) {
+    // Steals visit only occupied queues, so a stale bit either hides
+    // stealable work (bit clear) or wastes a scan (bit set).
+    if (hv_->occupied_pcpus().test(p.id) == p.queue.empty()) {
+      report("runqueue: pcpu " + std::to_string(p.id) + "'s occupancy bit is " +
+             (p.queue.empty() ? "set" : "clear") + " but its queue holds " +
+             std::to_string(p.queue.size()) + " VCPU(s)");
+    }
     for (const hv::Vcpu* v : p.queue.items()) {
       ++queued[v];
       if (v->state != hv::VcpuState::kRunnable) {

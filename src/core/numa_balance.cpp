@@ -1,7 +1,6 @@
 #include "core/numa_balance.hpp"
 
 #include <algorithm>
-#include <vector>
 
 #include "core/analyzer.hpp"
 
@@ -16,23 +15,28 @@ double NumaAwareBalancer::live_pressure(const hv::Vcpu& vcpu) {
 hv::Vcpu* NumaAwareBalancer::steal(hv::Hypervisor& hv, hv::Pcpu& thief,
                                    int weaker_than, bool local_only) {
   const auto& topo = hv.topology();
+  auto& pcpus = hv.pcpus();
 
   for (numa::NodeId node : topo.nodes_by_distance(thief.node)) {
     if (local_only && node != thief.node) break;
-    // loadList: the node's PCPUs sorted by workload, heaviest first
-    // (stable on id so the scan order is deterministic).
-    std::vector<hv::Pcpu*> load_list;
-    for (numa::PcpuId pid : topo.pcpus_of(node)) {
-      if (pid == thief.id) continue;
-      load_list.push_back(&hv.pcpu(pid));
-    }
-    std::stable_sort(load_list.begin(), load_list.end(),
-                     [](const hv::Pcpu* a, const hv::Pcpu* b) {
-                       return a->workload() > b->workload();
-                     });
+    // loadList: the node's peers sorted by workload, heaviest first, ties in
+    // id order.  Only peers with queued work enter it — an empty queue has
+    // nothing to steal — so a node with none costs one word-AND per 64
+    // PCPUs.  The buffer is reused, and sorting on (workload, id) is the
+    // stable id-ordered sort without stable_sort's temporary buffer.
+    load_list_.clear();
+    hv.occupied_pcpus().for_each_common(topo.node_mask(node), [&](int pid) {
+      if (pid != thief.id) load_list_.push_back(&pcpus[static_cast<std::size_t>(pid)]);
+    });
+    std::sort(load_list_.begin(), load_list_.end(),
+              [](const hv::Pcpu* a, const hv::Pcpu* b) {
+                if (a->workload() != b->workload()) {
+                  return a->workload() > b->workload();
+                }
+                return a->id < b->id;
+              });
 
-    for (hv::Pcpu* victim : load_list) {
-      if (victim->queue.empty()) continue;
+    for (hv::Pcpu* victim : load_list_) {
       // Steal the eligible runnable VCPU with the smallest LLC pressure.
       hv::Vcpu* best = nullptr;
       double best_pressure = 0.0;

@@ -10,6 +10,8 @@
 //     contention balance the partitioner established.
 #pragma once
 
+#include <vector>
+
 #include "hv/hypervisor.hpp"
 
 namespace vprobe::core {
@@ -45,6 +47,9 @@ class NumaAwareBalancer {
 
  private:
   Stats stats_;
+  /// Algorithm 2's loadList, reused across steals so a steal never
+  /// allocates once the buffer has grown to a node's width.
+  std::vector<hv::Pcpu*> load_list_;
 };
 
 }  // namespace vprobe::core

@@ -43,20 +43,26 @@ Vcpu* CreditScheduler::steal(Pcpu& thief, int weaker_than) {
   // The scan starts from a random peer: on real hardware which PCPU a
   // steal hits first depends on IPI races and who idled when, and it is in
   // any case blind to NUMA distance.  A fixed id-order scan would be
-  // accidentally local-first on machines with low node counts.
+  // accidentally local-first on machines with low node counts.  The draw
+  // happens even when nothing is queued, so the RNG stream does not depend
+  // on how the scan is implemented.
   const int start = static_cast<int>(hv_->rng().uniform_int(0, n - 1));
-  for (int offset = 0; offset < n; ++offset) {
-    Pcpu& victim = pcpus[static_cast<std::size_t>((start + offset) % n)];
-    if (victim.id == thief.id) continue;
-    for (Vcpu* v : victim.queue.items()) {
+  // Peers in (start + offset) % n order, visiting only non-empty queues:
+  // an empty queue can never yield a victim.
+  Vcpu* stolen = nullptr;
+  const int victim = hv_->occupied_pcpus().find_from(start, [&](int pid) {
+    if (pid == thief.id) return false;
+    for (Vcpu* v : pcpus[static_cast<std::size_t>(pid)].queue.items()) {
       if (!v->allowed_on(thief.id)) continue;  // hard affinity (vcpu-pin)
       if (static_cast<int>(v->priority) < weaker_than) {
-        victim.queue.remove(*v);
-        return v;
+        stolen = v;
+        return true;
       }
     }
-  }
-  return nullptr;
+    return false;
+  });
+  if (victim >= 0) pcpus[static_cast<std::size_t>(victim)].queue.remove(*stolen);
+  return stolen;
 }
 
 Decision CreditScheduler::do_schedule(Pcpu& pcpu) {

@@ -5,9 +5,10 @@
 //  * credits >= 0 -> UNDER priority, credits < 0 -> OVER;
 //  * a VCPU waking from sleep while UNDER is boosted (BOOST) so interactive
 //    work preempts CPU hogs; BOOST decays at the next tick;
-//  * an idle PCPU steals runnable work from its peers, scanning PCPUs in id
-//    order with no notion of NUMA distance — the exact behaviour Section
-//    II-B blames for the >80% remote-access ratios of Figure 1.
+//  * an idle PCPU steals runnable work from its peers, scanning them from a
+//    random starting PCPU with no notion of NUMA distance — the exact
+//    behaviour Section II-B blames for the >80% remote-access ratios of
+//    Figure 1.
 //
 // Subclasses override the two NUMA-relevant policy points: steal() (the
 // idle-time load balance — Algorithm 2 in vProbe/LB) and the sampling hook
@@ -44,7 +45,9 @@ class CreditScheduler : public Scheduler {
   /// Idle-time load balance: pick (and dequeue) a runnable VCPU from a peer
   /// queue, taking only candidates whose priority is strictly stronger than
   /// `weaker_than`.  Pass a value past kOver to accept anything runnable.
-  /// Credit scans PCPUs in id order from thief.id+1 — NUMA-oblivious.
+  /// Credit draws a random start PCPU (one hv rng() draw per call, queued
+  /// work or not) and scans peers in (start + offset) % n order, skipping
+  /// empty queues via the hypervisor's occupancy set — NUMA-oblivious.
   virtual Vcpu* steal(Pcpu& thief, int weaker_than);
 
   /// Priority from credits (UNDER/OVER); leaves BOOST alone unless `demote`.

@@ -37,15 +37,18 @@ Hypervisor::Hypervisor(Config config, std::unique_ptr<Scheduler> scheduler,
       memory_manager_(config.machine),
       machine_state_(config.machine),
       cost_model_(config_.machine, machine_state_),
-      scheduler_(std::move(scheduler)) {
+      scheduler_(std::move(scheduler)),
+      occupied_pcpus_(topology_.num_pcpus()) {
   if (!scheduler_) throw std::invalid_argument("Hypervisor: scheduler is null");
   cost_model_.set_cache_enabled(config_.rate_cache);
   machine_state_.set_decay_caches(config_.rate_cache);
   cost_model_.resize_cache(static_cast<std::size_t>(topology_.num_pcpus()));
   pcpus_.resize(static_cast<std::size_t>(topology_.num_pcpus()));
   for (int p = 0; p < topology_.num_pcpus(); ++p) {
-    pcpus_[static_cast<std::size_t>(p)].id = p;
-    pcpus_[static_cast<std::size_t>(p)].node = topology_.node_of(p);
+    Pcpu& pcpu = pcpus_[static_cast<std::size_t>(p)];
+    pcpu.id = p;
+    pcpu.node = topology_.node_of(p);
+    pcpu.queue.bind_occupancy(occupied_pcpus_, p);
   }
   scheduler_->attach(*this);
 }

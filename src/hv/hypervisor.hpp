@@ -159,6 +159,11 @@ class Hypervisor {
   std::vector<Pcpu>& pcpus() { return pcpus_; }
   Pcpu& pcpu(numa::PcpuId id) { return pcpus_.at(static_cast<std::size_t>(id)); }
 
+  /// Run-queue occupancy: bit p is set exactly while PCPU p's run queue is
+  /// non-empty (maintained by RunQueue itself).  Steals walk its set bits
+  /// instead of every PCPU.
+  const numa::PcpuMask& occupied_pcpus() const { return occupied_pcpus_; }
+
   std::span<const std::unique_ptr<Domain>> domains() const { return domains_; }
   /// Positional access — indices shift when a domain is destroyed; use
   /// find_domain(id) in any code that can run across lifecycle changes.
@@ -243,6 +248,9 @@ class Hypervisor {
   perf::MachineState machine_state_;
   perf::CostModel cost_model_;
   std::unique_ptr<Scheduler> scheduler_;
+  /// Sized once in the constructor and never resized: each PCPU's run
+  /// queue holds a pointer to its word.
+  numa::PcpuMask occupied_pcpus_;
   std::vector<Pcpu> pcpus_;
   std::vector<std::unique_ptr<Domain>> domains_;
   std::vector<Vcpu*> all_vcpus_;

@@ -7,6 +7,9 @@ namespace vprobe::hv {
 
 void RunQueue::insert(Vcpu& vcpu) {
   assert(!vcpu.in_runqueue);
+  if (items_.empty() && occupancy_word_ != nullptr) {
+    *occupancy_word_ |= occupancy_bit_;
+  }
   // Find the first element with a strictly weaker priority and insert before
   // it — i.e. FIFO within the class.
   auto pos = std::find_if(items_.begin(), items_.end(), [&](const Vcpu* v) {
@@ -21,6 +24,7 @@ Vcpu* RunQueue::pop_front() {
   Vcpu* v = items_.front();
   items_.erase(items_.begin());
   v->in_runqueue = false;
+  note_removal();
   return v;
 }
 
@@ -29,6 +33,7 @@ bool RunQueue::remove(Vcpu& vcpu) {
   if (it == items_.end()) return false;
   items_.erase(it);
   vcpu.in_runqueue = false;
+  note_removal();
   return true;
 }
 

@@ -3,16 +3,33 @@
 // VCPUs are kept sorted by priority class (BOOST < UNDER < OVER in queue
 // position terms — strongest first), FIFO within a class, exactly like
 // Xen's csched runq insertion.
+//
+// Occupancy contract: a queue bound to the hypervisor's occupancy set
+// (bind_occupancy) keeps its PCPU's bit set exactly while it holds at least
+// one VCPU.  insert(), pop_front() and remove() are the only mutators, and
+// each flips the bit on the empty <-> non-empty transition, so steals can
+// skip empty queues by walking set bits.  The invariant checker verifies
+// bit == !empty() on every run-queue sweep.  An unbound queue (unit tests)
+// keeps no bit.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "hv/vcpu.hpp"
+#include "numa/pcpu_mask.hpp"
 
 namespace vprobe::hv {
 
 class RunQueue {
  public:
+  /// Mirror this queue's emptiness into bit `pcpu` of `occupancy`, which
+  /// must outlive the queue.  Call while the queue is empty.
+  void bind_occupancy(numa::PcpuMask& occupancy, numa::PcpuId pcpu) {
+    occupancy_word_ = occupancy.word_of(pcpu);
+    occupancy_bit_ = numa::PcpuMask::bit(pcpu);
+  }
+
   /// Insert by priority class, at the tail of the VCPU's class.
   void insert(Vcpu& vcpu);
 
@@ -31,7 +48,16 @@ class RunQueue {
   const std::vector<Vcpu*>& items() const { return items_; }
 
  private:
+  /// Clear the occupancy bit when the last VCPU has left.
+  void note_removal() {
+    if (items_.empty() && occupancy_word_ != nullptr) {
+      *occupancy_word_ &= ~occupancy_bit_;
+    }
+  }
+
   std::vector<Vcpu*> items_;
+  std::uint64_t* occupancy_word_ = nullptr;
+  std::uint64_t occupancy_bit_ = 0;
 };
 
 }  // namespace vprobe::hv

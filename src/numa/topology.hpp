@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "numa/machine_config.hpp"
+#include "numa/pcpu_mask.hpp"
 
 namespace vprobe::numa {
 
@@ -32,6 +33,12 @@ class Topology {
     return node_pcpus_.at(static_cast<std::size_t>(node));
   }
 
+  /// The same set as pcpus_of(node), as a mask over all of the machine's
+  /// PCPUs (for intersecting with the hypervisor's run-queue occupancy).
+  const PcpuMask& node_mask(NodeId node) const {
+    return node_masks_[static_cast<std::size_t>(node)];
+  }
+
   bool same_node(PcpuId a, PcpuId b) const { return node_of(a) == node_of(b); }
 
   bool valid_pcpu(PcpuId p) const { return p >= 0 && p < num_pcpus(); }
@@ -48,6 +55,7 @@ class Topology {
   int cores_per_node_;
   std::vector<NodeId> pcpu_node_;
   std::vector<std::vector<PcpuId>> node_pcpus_;
+  std::vector<PcpuMask> node_masks_;
   std::vector<std::vector<NodeId>> distance_order_;
 };
 

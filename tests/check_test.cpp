@@ -28,8 +28,8 @@ using test::MiniScenario;
 class CheckCleanRun : public ::testing::TestWithParam<runner::SchedKind> {};
 
 TEST_P(CheckCleanRun, NoViolations) {
-  check::InvariantChecker checker;
   MiniScenario sc = test::make_mini_scenario(GetParam(), 21);
+  check::InvariantChecker checker;  // destroyed (detached) before sc.hv
   checker.attach(*sc.hv);
   test::run_mini(sc);
   checker.expect_ok();  // prints the violations on failure
@@ -137,6 +137,30 @@ TEST(CheckInjection, BlockedVcpuOnRunQueueIsCaught) {
             std::string::npos);
 }
 
+TEST(CheckInjection, StaleOccupancyBitIsCaught) {
+  numa::PcpuMask detached(8);  // outlives hv: pcpu 0's queue points into it
+  auto hv = test::make_credit_hv(7);
+  check::InvariantChecker checker;
+  checker.attach(*hv);
+
+  hv::Domain& dom = hv->create_domain("VM1", test::kTestGB, 2,
+                                      numa::PlacementPolicy::kFillFirst);
+  // The bug: a run queue that no longer mirrors its emptiness into the
+  // hypervisor's occupancy set, so steals would never see its work.
+  hv->pcpu(0).queue.bind_occupancy(detached, 0);
+  hv::Vcpu& v = dom.vcpu(0);
+  v.pcpu = 0;
+  v.state = hv::VcpuState::kRunnable;
+  hv->pcpu(0).queue.insert(v);
+  ASSERT_TRUE(detached.test(0));
+
+  checker.check_now();
+  ASSERT_FALSE(checker.ok());
+  EXPECT_NE(checker.violations().front().what.find("occupancy bit is clear"),
+            std::string::npos)
+      << checker.violations().front().what;
+}
+
 TEST(CheckInjection, PriorityCreditSignMismatchIsCaught) {
   auto hv = test::make_credit_hv(7);
   check::InvariantChecker checker;
@@ -181,8 +205,8 @@ TEST(CheckOverhead, CheckerDoesNotPerturbTheSimulation) {
   MiniScenario plain = test::make_mini_scenario(runner::SchedKind::kVprobe, 9);
   test::run_mini(plain);
 
-  check::InvariantChecker checker;
   MiniScenario checked = test::make_mini_scenario(runner::SchedKind::kVprobe, 9);
+  check::InvariantChecker checker;  // destroyed (detached) before checked.hv
   checker.attach(*checked.hv);
   test::run_mini(checked);
   checker.expect_ok();

@@ -713,6 +713,9 @@ int main(int argc, char** argv) {
     }
   }
   int rest_argc = static_cast<int>(rest.size());
+  // gtest shifts argv[0..argc] (terminator included) when it strips its
+  // own flags, so the array must end in a null like a real argv.
+  rest.push_back(nullptr);
   ::testing::InitGoogleTest(&rest_argc, rest.data());
   return RUN_ALL_TESTS();
 }

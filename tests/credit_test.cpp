@@ -1,7 +1,12 @@
 // Credit scheduler behaviour tests: credits/priorities, boost, fairness,
-// and NUMA-oblivious stealing.
+// and NUMA-oblivious stealing, plus the steal-order oracle for the
+// occupancy-set scans of Credit and Algorithm 2.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
+#include "core/numa_balance.hpp"
 #include "test_helpers.hpp"
 
 namespace vprobe::hv {
@@ -290,6 +295,181 @@ TEST_F(CreditTest, BlockedVcpusDoNotEatCpu) {
   EXPECT_DOUBLE_EQ(works_[1]->executed, 0.0);
   EXPECT_EQ(dom.vcpu(1).state, VcpuState::kBlocked);
 }
+
+// ------------------------------------------------------ steal-order oracle ----
+//
+// Both steals visit only occupied run queues (Hypervisor::occupied_pcpus).
+// The oracles below are the full scans that walk every PCPU, empty or not;
+// from identical state both must pick the same victim and leave the RNG at
+// the same position.
+
+/// Credit with steal() made callable from the test.
+class StealProbe : public CreditScheduler {
+ public:
+  using CreditScheduler::steal;
+};
+
+/// Full-scan Credit steal: every PCPU in (start + offset) % n order.
+/// Returns the victim without dequeuing it.
+Vcpu* credit_steal_oracle(Hypervisor& hv, sim::Rng& rng, const Pcpu& thief,
+                          int weaker_than) {
+  auto& pcpus = hv.pcpus();
+  const int n = static_cast<int>(pcpus.size());
+  const int start = static_cast<int>(rng.uniform_int(0, n - 1));
+  for (int offset = 0; offset < n; ++offset) {
+    Pcpu& victim = pcpus[static_cast<std::size_t>((start + offset) % n)];
+    if (victim.id == thief.id) continue;
+    for (Vcpu* v : victim.queue.items()) {
+      if (!v->allowed_on(thief.id)) continue;
+      if (static_cast<int>(v->priority) < weaker_than) return v;
+    }
+  }
+  return nullptr;
+}
+
+/// Full-scan Algorithm 2: a freshly allocated loadList of every peer of each
+/// node, stable-sorted by workload.  Returns the victim without dequeuing it.
+Vcpu* balancer_steal_oracle(Hypervisor& hv, const Pcpu& thief, int weaker_than,
+                            bool local_only) {
+  const auto& topo = hv.topology();
+  for (numa::NodeId node : topo.nodes_by_distance(thief.node)) {
+    if (local_only && node != thief.node) break;
+    std::vector<Pcpu*> load_list;
+    for (numa::PcpuId pid : topo.pcpus_of(node)) {
+      if (pid == thief.id) continue;
+      load_list.push_back(&hv.pcpu(pid));
+    }
+    std::stable_sort(load_list.begin(), load_list.end(),
+                     [](const Pcpu* a, const Pcpu* b) {
+                       return a->workload() > b->workload();
+                     });
+    for (Pcpu* victim : load_list) {
+      if (victim->queue.empty()) continue;
+      Vcpu* best = nullptr;
+      double best_pressure = 0.0;
+      for (Vcpu* v : victim->queue.items()) {
+        if (static_cast<int>(v->priority) >= weaker_than) continue;
+        if (!v->allowed_on(thief.id)) continue;
+        const double pressure = core::NumaAwareBalancer::live_pressure(*v);
+        if (best == nullptr || pressure < best_pressure) {
+          best = v;
+          best_pressure = pressure;
+        }
+      }
+      if (best != nullptr) return best;
+    }
+  }
+  return nullptr;
+}
+
+/// Next value of a copy: compares RNG positions without advancing either.
+std::uint64_t peek(const sim::Rng& rng) {
+  sim::Rng copy = rng;
+  return copy.next();
+}
+
+numa::MachineConfig three_by_24() {
+  numa::MachineConfig cfg = numa::MachineConfig::xeon_e5620();
+  cfg.num_nodes = 3;
+  cfg.cores_per_node = 24;  // 72 PCPUs: the occupancy set spans two words
+  cfg.validate();
+  return cfg;
+}
+
+class StealOracle : public ::testing::TestWithParam<numa::MachineConfig> {};
+
+TEST_P(StealOracle, BitsetStealsMatchFullScans) {
+  constexpr int kIdle = static_cast<int>(CreditPrio::kOver) + 1;
+  constexpr int kFair = static_cast<int>(CreditPrio::kOver);
+  const numa::MachineConfig machine = GetParam();
+  const int n = machine.total_pcpus();
+  int credit_hits = 0, balancer_hits = 0, misses = 0, high_starts = 0;
+
+  for (std::uint64_t trial = 0; trial < 60; ++trial) {
+    Hypervisor::Config cfg;
+    cfg.machine = machine;
+    cfg.seed = trial + 1;
+    Hypervisor hv(cfg, std::make_unique<StealProbe>());
+    auto& sched = static_cast<StealProbe&>(hv.scheduler());
+    core::NumaAwareBalancer balancer;
+    sim::Rng gen(1000 + trial);  // the test's own draws, never hv.rng()
+
+    // Random occupancy: from nearly empty to every VCPU queued.
+    Domain& dom = hv.create_domain("VM", kTestGB, 2 * n,
+                                   numa::PlacementPolicy::kFillFirst);
+    const double density = std::array{0.0, 0.03, 0.15, 0.5, 1.0}[trial % 5];
+    for (std::size_t i = 0; i < dom.num_vcpus(); ++i) {
+      Vcpu& v = dom.vcpu(i);
+      v.priority = static_cast<CreditPrio>(gen.uniform_int(0, 2));
+      v.llc_pressure = static_cast<double>(gen.uniform_int(0, 3));  // ties
+      if (gen.chance(0.2)) v.affinity_mask = gen.next();
+      if (!gen.chance(density)) continue;
+      v.state = VcpuState::kRunnable;
+      v.pcpu = static_cast<numa::PcpuId>(gen.uniform_int(0, n - 1));
+      hv.pcpu(v.pcpu).queue.insert(v);
+    }
+
+    // Steal until a few misses: victims leave their queues, so occupancy
+    // bits clear along the way.
+    for (int step = 0, trial_misses = 0; step < 4 * n && trial_misses < 4; ++step) {
+      Pcpu& thief = hv.pcpu(static_cast<numa::PcpuId>(gen.uniform_int(0, n - 1)));
+      const int kind = static_cast<int>(gen.uniform_int(0, 3));
+      const int weaker_than = (kind == 1 || gen.chance(0.5)) ? kFair : kIdle;
+      const std::uint64_t rng_before = peek(hv.rng());
+      Vcpu* expected = nullptr;
+      Vcpu* got = nullptr;
+      if (kind <= 1) {
+        sim::Rng oracle_rng = hv.rng();
+        if (sim::Rng(oracle_rng).uniform_int(0, n - 1) >= 64) ++high_starts;
+        expected = credit_steal_oracle(hv, oracle_rng, thief, weaker_than);
+        got = sched.steal(thief, weaker_than);
+        EXPECT_EQ(peek(hv.rng()), peek(oracle_rng))
+            << "Credit steal moved the RNG differently from the full scan";
+        credit_hits += got != nullptr;
+      } else {
+        const bool local_only = kind == 3;
+        expected = balancer_steal_oracle(hv, thief, weaker_than, local_only);
+        got = balancer.steal(hv, thief, weaker_than, local_only);
+        EXPECT_EQ(peek(hv.rng()), rng_before) << "Algorithm 2 drew from the RNG";
+        balancer_hits += got != nullptr;
+      }
+      ASSERT_EQ(got, expected) << "trial " << trial << " step " << step
+                               << " kind " << kind << " thief " << thief.id;
+      if (got == nullptr) {
+        ++misses;
+        ++trial_misses;
+        continue;
+      }
+      EXPECT_FALSE(got->in_runqueue);
+      // Hand the victim to the thief's queue (as do_schedule's caller
+      // would run it there) so occupancy keeps changing in both directions.
+      if (got->allowed_on(thief.id) && gen.chance(0.5)) {
+        got->pcpu = thief.id;
+        thief.queue.insert(*got);
+      } else {
+        got->state = VcpuState::kBlocked;
+      }
+      for (const Pcpu& p : hv.pcpus()) {
+        ASSERT_EQ(hv.occupied_pcpus().test(p.id), !p.queue.empty()) << p.id;
+      }
+    }
+  }
+  // The sweep must exercise both outcomes of both steals.
+  EXPECT_GT(credit_hits, 0);
+  EXPECT_GT(balancer_hits, 0);
+  EXPECT_GT(misses, 0);
+  if (n > 64) {
+    EXPECT_GT(high_starts, 0) << "start never landed in the second word";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Machines, StealOracle,
+    ::testing::Values(numa::MachineConfig::xeon_e5620(),
+                      numa::MachineConfig::four_node_server(), three_by_24()),
+    [](const auto& param_info) {
+      return std::to_string(param_info.param.total_pcpus()) + "Pcpus";
+    });
 
 }  // namespace
 }  // namespace vprobe::hv

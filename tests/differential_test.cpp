@@ -28,8 +28,8 @@ class Differential : public ::testing::TestWithParam<Param> {};
 TEST_P(Differential, SharedInvariantsHold) {
   const auto [kind, seed] = GetParam();
 
-  check::InvariantChecker checker;
   test::MiniScenario sc = test::make_mini_scenario(kind, seed);
+  check::InvariantChecker checker;  // destroyed (detached) before sc.hv
   checker.attach(*sc.hv);
   test::run_mini(sc, kHorizon);
   checker.expect_ok();
