@@ -10,6 +10,12 @@
 //
 // which rewrites the file in the source tree (path baked in at compile
 // time via VPROBE_GOLDEN_DIR).
+//
+// The single-machine example scenarios (examples/scenarios/*.scn with a
+// `machine` directive) are pinned the same way in tests/golden/scenarios.txt:
+// an FNV-1a digest of run_scenario's JSON output, so the whole reported
+// result — runtimes, counters, migrations, serving stats — must stay
+// byte-identical.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -20,7 +26,9 @@
 
 #include "runner/churn.hpp"
 #include "runner/scenario.hpp"
+#include "runner/scenario_file.hpp"
 #include "scenario_helpers.hpp"
+#include "stats/json.hpp"
 #include "trace/digest.hpp"
 #include "trace/tracer.hpp"
 
@@ -38,9 +46,9 @@ struct GoldenEntry {
   std::string digest;
 };
 
-std::map<std::string, GoldenEntry> load_goldens() {
+std::map<std::string, GoldenEntry> load_goldens(const std::string& path = golden_path()) {
   std::map<std::string, GoldenEntry> goldens;
-  std::ifstream in(golden_path());
+  std::ifstream in(path);
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
@@ -187,6 +195,88 @@ INSTANTIATE_TEST_SUITE_P(AllSchedulers, GoldenTrace,
                          ::testing::ValuesIn(runner::all_schedulers().begin(),
                                              runner::all_schedulers().end()),
                          sched_test_name);
+
+// -- Single-machine scenario outputs --------------------------------------------
+
+std::string scenarios_golden_path() {
+  return std::string(VPROBE_GOLDEN_DIR) + "/scenarios.txt";
+}
+
+void save_scenario_goldens(const std::map<std::string, GoldenEntry>& goldens) {
+  std::ofstream out(scenarios_golden_path());
+  out << "# Single-machine scenario goldens: <scenario>_<scheduler> <json bytes>"
+         " <fnv1a-64 hex>\n"
+      << "# examples/scenarios/<scenario>.scn at its own seed, scheduler"
+         " overridden;\n"
+      << "# the digest is FNV-1a over run_scenario's stats::to_json output.\n"
+      << "# Regenerate: VPROBE_UPDATE_GOLDEN=1 ctest -L golden\n";
+  for (const auto& [key, entry] : goldens) {
+    out << key << ' ' << entry.records << ' ' << entry.digest << '\n';
+  }
+}
+
+struct ScenarioCase {
+  const char* scenario;
+  runner::SchedKind sched;
+};
+
+class GoldenScenario : public ::testing::TestWithParam<ScenarioCase> {};
+
+TEST_P(GoldenScenario, JsonMatchesCheckedInDigest) {
+  const ScenarioCase& c = GetParam();
+  const std::string key = std::string(c.scenario) + "_" + sched_key(c.sched);
+  std::ifstream in(std::string(VPROBE_SCENARIO_DIR) + "/" + c.scenario + ".scn");
+  ASSERT_TRUE(in.is_open()) << "missing scenario " << c.scenario;
+  std::ostringstream text;
+  text << in.rdbuf();
+  runner::ScenarioSpec spec = runner::parse_scenario(text.str());
+  ASSERT_FALSE(spec.cluster_mode()) << key << " must be a single-machine spec";
+  spec.sched = c.sched;
+
+  const stats::RunMetrics m = runner::run_scenario(spec);
+  ASSERT_TRUE(m.completed) << key;
+  const std::string json = stats::to_json(m);
+  std::uint64_t hash = trace::fnv1a_basis();
+  for (const char ch : json) {
+    hash ^= static_cast<unsigned char>(ch);
+    hash *= 1099511628211ull;  // FNV-1a 64 prime
+  }
+  GoldenEntry actual;
+  actual.records = json.size();
+  actual.digest = trace::digest_hex(hash);
+
+  auto goldens = load_goldens(scenarios_golden_path());
+  if (update_mode()) {
+    goldens[key] = actual;
+    save_scenario_goldens(goldens);
+    GTEST_SKIP() << "golden updated: " << key << " = " << actual.digest;
+  }
+  ASSERT_TRUE(goldens.count(key))
+      << "no golden for '" << key << "' in " << scenarios_golden_path()
+      << " — run VPROBE_UPDATE_GOLDEN=1 ctest -L golden";
+  EXPECT_EQ(goldens[key].records, actual.records) << key;
+  EXPECT_EQ(goldens[key].digest, actual.digest)
+      << key << ": scenario output changed. If intentional, regenerate with "
+      << "VPROBE_UPDATE_GOLDEN=1 ctest -L golden";
+}
+
+std::string scenario_test_name(const ::testing::TestParamInfo<ScenarioCase>& info) {
+  std::string name = std::string(info.param.scenario) + "_" + sched_key(info.param.sched);
+  for (char& c : name) {
+    if (c == '_') c = 'P';  // gtest names must be alphanumeric
+  }
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MachineScenarios, GoldenScenario,
+    ::testing::Values(ScenarioCase{"paper_soplex", runner::SchedKind::kCredit},
+                      ScenarioCase{"paper_soplex", runner::SchedKind::kVprobe},
+                      ScenarioCase{"churn_mix", runner::SchedKind::kCredit},
+                      ScenarioCase{"churn_mix", runner::SchedKind::kVprobe},
+                      ScenarioCase{"four_node_mix", runner::SchedKind::kCredit},
+                      ScenarioCase{"four_node_mix", runner::SchedKind::kVprobe}),
+    scenario_test_name);
 
 }  // namespace
 }  // namespace vprobe
