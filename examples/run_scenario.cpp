@@ -7,6 +7,7 @@
 // With no argument, runs a built-in demo scenario and prints the file
 // format, so the example is self-documenting.
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <sstream>
 
@@ -116,7 +117,15 @@ int main(int argc, char** argv) {
   runner::ExecutorOptions opts;
   opts.jobs = cli.get_int("jobs", 1);
   opts.progress = opts.jobs != 1;
-  const stats::RunMetrics m = runner::execute_plan(plan, opts).front();
+  stats::RunMetrics m;
+  try {
+    m = runner::execute_plan(plan, opts).front();
+  } catch (const std::exception& e) {
+    // Run-time scenario errors (a VM that does not fit, nothing to
+    // measure, ...) are the user's input too: report them like parse errors.
+    std::fprintf(stderr, "run error: %s\n", e.what());
+    return 1;
+  }
 
   if (cli.has("hosts-csv")) {
     stats::write_host_csv(cli.get("hosts-csv", "hosts.csv"), m);

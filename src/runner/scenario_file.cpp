@@ -407,32 +407,21 @@ class BackgroundWorkload final : public cluster::Workload {
   std::vector<std::unique_ptr<wl::GuestOsTicks>> ticks_;
 };
 
-/// Build the OpenLoopClient config shared by both run paths.
-wl::OpenLoopClient::Config open_loop_config(const ScenarioSpec& spec) {
-  wl::OpenLoopClient::Config ocfg;
-  ocfg.rps = spec.openloop.rps;
-  ocfg.start_s = spec.openloop.start_s;
-  ocfg.seed = spec.openloop.seed != 0 ? spec.openloop.seed : spec.seed;
-  ocfg.max_requests = spec.openloop.max_requests;
-  ocfg.spike_at_s = spec.openloop.spike_at_s;
-  ocfg.spike_until_s = spec.openloop.spike_until_s;
-  ocfg.spike_x = spec.openloop.spike_x;
-  ocfg.diurnal_period_s = spec.openloop.diurnal_period_s;
-  ocfg.diurnal_amp = spec.openloop.diurnal_amp;
-  ocfg.lazy = spec.lazy_arrivals;
-  ocfg.balance = spec.openloop.balance == "p2c"
-                     ? wl::OpenLoopClient::Config::Balance::kP2c
-                     : wl::OpenLoopClient::Config::Balance::kRoundRobin;
-  return ocfg;
-}
+}  // namespace
 
-stats::RunMetrics run_cluster_scenario(const ScenarioSpec& spec) {
+stats::RunMetrics run_scenario(const ScenarioSpec& spec) {
   SchedulerOptions opts;
   opts.sampling_period = sim::Time::seconds(spec.sampling_s);
 
+  // A `machine X` spec is the one-host fleet {X, 1}: serial mode, so its
+  // host runs on the control engine with child_seed(seed, 0) == seed and
+  // replays the single-machine event stream (ClusterOfOne.*).
+  const std::vector<ScenarioSpec::MachineSpec> machines =
+      spec.cluster_mode() ? spec.machines
+                          : std::vector<ScenarioSpec::MachineSpec>{{spec.machine, 1}};
   std::vector<cluster::HostSpec> host_specs;
   std::vector<std::string> host_kinds;
-  for (const auto& m : spec.machines) {
+  for (const auto& m : machines) {
     for (int i = 0; i < m.count; ++i) {
       cluster::HostSpec host;
       host.machine = machine_by_name(m.kind);
@@ -452,10 +441,12 @@ stats::RunMetrics run_cluster_scenario(const ScenarioSpec& spec) {
   }
   cluster::Cluster fleet(ccfg, host_specs, scheduler_factory(spec.sched, opts));
 
-  // Admit the declared VMs in file order.  A VM whose apps are all
-  // background (hungry/ticks) is cluster-managed and rebindable — the
+  // Admit the declared VMs in file order.  In a fleet, a VM whose apps are
+  // all background (hungry/ticks) is cluster-managed and rebindable — the
   // control plane may live-migrate it; VMs running measured spec/npb apps
-  // keep their guest state outside the control plane and stay put.
+  // keep their guest state outside the control plane and stay put.  A
+  // single machine has nowhere to migrate to, so none of its VMs is
+  // movable and each background app keeps its own staggered start.
   std::map<std::string, std::vector<ScenarioSpec::AppSpec>> apps_by_vm;
   for (const auto& app : spec.apps) apps_by_vm[app.vm].push_back(app);
 
@@ -463,7 +454,8 @@ stats::RunMetrics run_cluster_scenario(const ScenarioSpec& spec) {
   for (const auto& vm : spec.vms) {
     const auto apps_it = apps_by_vm.find(vm.name);
     const bool movable =
-        apps_it != apps_by_vm.end() && !apps_it->second.empty() &&
+        spec.cluster_mode() && apps_it != apps_by_vm.end() &&
+        !apps_it->second.empty() &&
         std::all_of(apps_it->second.begin(), apps_it->second.end(),
                     [](const auto& a) { return a.kind == "hungry" || a.kind == "ticks"; });
     cluster::VmSpec cvm;
@@ -493,8 +485,9 @@ stats::RunMetrics run_cluster_scenario(const ScenarioSpec& spec) {
     vm_ids[vm.name] = id;
   }
 
-  // Build the externally-owned apps (measured spec/npb, and background apps
-  // of mixed VMs) against each VM's admitted domain and host.
+  // Build the externally-owned apps (spec/npb/kv, and the background apps
+  // of every VM that is not movable) against each VM's admitted domain and
+  // host.
   std::vector<std::unique_ptr<wl::SpecApp>> spec_apps;
   std::vector<std::unique_ptr<wl::NpbApp>> npb_apps;
   std::vector<std::unique_ptr<wl::HungryLoops>> hogs;
@@ -614,6 +607,12 @@ stats::RunMetrics run_cluster_scenario(const ScenarioSpec& spec) {
     }
   }
 
+  if (!spec.cluster_mode() && measured.empty() && !spec.openloop_enabled) {
+    // A fleet may be a pure background run and a serving-only scenario is
+    // horizon-bounded by design; a single machine must measure something.
+    throw std::invalid_argument("scenario has nothing to measure");
+  }
+
   fleet.start();
   int launch = 0;
   for (auto& starter : starters) {
@@ -632,12 +631,17 @@ stats::RunMetrics run_cluster_scenario(const ScenarioSpec& spec) {
         });
   }
 
-  // Dynamic background churn through the cluster control plane.
+  // Dynamic background churn: through the control plane in a fleet, but
+  // straight onto the one hypervisor of a single machine — fleet mode
+  // draws the guest flavour before its admission check, so the two draw
+  // orders part ways whenever an arrival is refused.
   std::unique_ptr<ChurnDriver> churn;
   if (spec.churn_enabled) {
     ChurnOptions copts = spec.churn;
     if (copts.seed == 0) copts.seed = spec.seed;
-    churn = std::make_unique<ChurnDriver>(fleet, copts);
+    churn = spec.cluster_mode()
+                ? std::make_unique<ChurnDriver>(fleet, copts)
+                : std::make_unique<ChurnDriver>(fleet.host(0), copts);
     churn->start();
   }
 
@@ -653,13 +657,27 @@ stats::RunMetrics run_cluster_scenario(const ScenarioSpec& spec) {
     std::vector<wl::RequestServer*> targets;
     targets.reserve(kv_servers.size());
     for (const auto& s : kv_servers) targets.push_back(s.get());
-    open_loop = std::make_unique<wl::OpenLoopClient>(
-        fleet.engine(), open_loop_config(spec), std::move(targets));
+    wl::OpenLoopClient::Config ocfg;
+    ocfg.rps = spec.openloop.rps;
+    ocfg.start_s = spec.openloop.start_s;
+    ocfg.seed = spec.openloop.seed != 0 ? spec.openloop.seed : spec.seed;
+    ocfg.max_requests = spec.openloop.max_requests;
+    ocfg.spike_at_s = spec.openloop.spike_at_s;
+    ocfg.spike_until_s = spec.openloop.spike_until_s;
+    ocfg.spike_x = spec.openloop.spike_x;
+    ocfg.diurnal_period_s = spec.openloop.diurnal_period_s;
+    ocfg.diurnal_amp = spec.openloop.diurnal_amp;
+    ocfg.lazy = spec.lazy_arrivals;
+    ocfg.balance = spec.openloop.balance == "p2c"
+                       ? wl::OpenLoopClient::Config::Balance::kP2c
+                       : wl::OpenLoopClient::Config::Balance::kRoundRobin;
+    open_loop = std::make_unique<wl::OpenLoopClient>(fleet.engine(), ocfg,
+                                                     std::move(targets));
     open_loop->start();
   }
 
-  // Cluster scenarios may be pure background fleets: with nothing measured
-  // the run is horizon-bounded by design, not incomplete.
+  // With nothing measured (a pure background fleet, or serving only) the
+  // run is horizon-bounded by design, not incomplete.
   const bool have_measured = !measured.empty();
   const bool done = run_cluster_until(
       fleet,
@@ -699,6 +717,9 @@ stats::RunMetrics run_cluster_scenario(const ScenarioSpec& spec) {
     busy_total += hv.total_busy_time().to_seconds();
     overhead_total += hv.overhead().paper_overhead().to_seconds();
 
+    // A single machine reports no per-host breakdown, so its JSON and CSV
+    // keep the single-machine shape (is_cluster_run() stays false).
+    if (!spec.cluster_mode()) continue;
     stats::HostMetrics host;
     host.name = fleet.host_name(id);
     host.machine = host_kinds[static_cast<std::size_t>(id)];
@@ -714,9 +735,10 @@ stats::RunMetrics run_cluster_scenario(const ScenarioSpec& spec) {
   metrics.overhead_fraction = busy_total > 0 ? overhead_total / busy_total : 0.0;
   metrics.sim_seconds = fleet.now().to_seconds();
 
-  // Serving rollup: merge each server's histogram into its admission host's
-  // slice and into the fleet-level distribution (fixed file order, so the
-  // float min/max/sum side-stats accumulate deterministically too).
+  // Serving rollup: merge each server's histogram into the fleet-level
+  // distribution and, in a fleet, its admission host's slice (fixed file
+  // order, so the float min/max/sum side-stats accumulate deterministically
+  // too).
   if (!kv_servers.empty()) {
     metrics.slo_threshold_s = spec.slo_ms / 1e3;
     std::uint64_t served = 0;
@@ -725,6 +747,7 @@ stats::RunMetrics run_cluster_scenario(const ScenarioSpec& spec) {
       metrics.latency.merge(s.latency_hist());
       metrics.slo_violations += s.slo_violations();
       served += s.served();
+      if (!metrics.is_cluster_run()) continue;
       auto& host =
           metrics.hosts[static_cast<std::size_t>(kv_server_hosts[i])];
       host.latency.merge(s.latency_hist());
@@ -763,206 +786,6 @@ stats::RunMetrics run_cluster_scenario(const ScenarioSpec& spec) {
   metrics.cluster.pool_wakeups = sync.pool_wakeups;
   metrics.cluster.pool_spin_grabs = sync.pool_spin_grabs;
   metrics.cluster.pool_parks = sync.pool_parks;
-  return metrics;
-}
-
-}  // namespace
-
-stats::RunMetrics run_scenario(const ScenarioSpec& spec) {
-  if (spec.cluster_mode()) return run_cluster_scenario(spec);
-  SchedulerOptions opts;
-  opts.sampling_period = sim::Time::seconds(spec.sampling_s);
-  auto machine = machine_by_name(spec.machine);
-  auto hv = make_hypervisor(spec.sched, spec.seed, opts, machine);
-
-  std::map<std::string, hv::Domain*> domains;
-  for (const auto& vm : spec.vms) {
-    hv::Domain& dom = hv->create_domain(vm.name, vm.mem_bytes, vm.vcpus,
-                                        vm.policy,
-                                        static_cast<numa::NodeId>(vm.preferred));
-    dom.memory().alternate_allocation(vm.alternate);
-    domains[vm.name] = &dom;
-  }
-
-  // Instantiate workloads; keep them alive for the whole run.
-  std::vector<std::unique_ptr<wl::SpecApp>> spec_apps;
-  std::vector<std::unique_ptr<wl::NpbApp>> npb_apps;
-  std::vector<std::unique_ptr<wl::HungryLoops>> hogs;
-  std::vector<std::unique_ptr<wl::GuestOsTicks>> ticks;
-  std::vector<std::unique_ptr<wl::RequestServer>> kv_servers;
-  struct Measured {
-    std::function<bool()> finished;
-    std::function<double()> runtime_s;
-    std::string name;
-    hv::Domain* domain;
-  };
-  std::vector<Measured> measured;
-  const bool any_marked = std::any_of(spec.apps.begin(), spec.apps.end(),
-                                      [](const auto& a) { return a.measure; });
-
-  std::vector<std::function<void()>> starters;
-  for (const auto& app : spec.apps) {
-    hv::Domain& dom = *domains.at(app.vm);
-    auto vcpus = domain_vcpus(dom);
-    const auto from = static_cast<std::size_t>(app.from);
-    if (from >= vcpus.size()) {
-      throw std::invalid_argument("app 'from' beyond vm '" + app.vm + "' vcpus");
-    }
-    const bool measure = app.measure || !any_marked;
-    if (app.kind == "spec") {
-      for (int i = 0; i < app.count; ++i) {
-        const std::size_t slot = from + static_cast<std::size_t>(i);
-        if (slot >= vcpus.size()) {
-          throw std::invalid_argument("too many spec instances for vm '" + app.vm + "'");
-        }
-        spec_apps.push_back(std::make_unique<wl::SpecApp>(
-            *hv, dom, *vcpus[slot], app.profile, spec.scale,
-            app.vm + ":" + app.profile + "#" + std::to_string(i)));
-        wl::SpecApp* sa = spec_apps.back().get();
-        starters.push_back([sa] { sa->start(); });
-        if (measure) {
-          measured.push_back({[sa] { return sa->finished(); },
-                              [sa] { return sa->runtime().to_seconds(); },
-                              sa->name(), &dom});
-        }
-      }
-    } else if (app.kind == "npb") {
-      wl::NpbApp::Config ncfg;
-      ncfg.profile = app.profile;
-      ncfg.threads = app.threads;
-      ncfg.instr_scale = spec.scale;
-      ncfg.name = app.vm + ":" + app.profile;
-      std::vector<hv::Vcpu*> subset(vcpus.begin() + static_cast<std::ptrdiff_t>(from),
-                                    vcpus.end());
-      npb_apps.push_back(std::make_unique<wl::NpbApp>(*hv, dom, ncfg, subset));
-      wl::NpbApp* na = npb_apps.back().get();
-      starters.push_back([na] { na->start(); });
-      if (measure) {
-        measured.push_back({[na] { return na->finished(); },
-                            [na] { return na->runtime().to_seconds(); },
-                            na->name(), &dom});
-      }
-    } else if (app.kind == "kv") {
-      wl::RequestServer::Config kcfg;
-      kcfg.profile = app.profile;
-      kcfg.workers = app.threads;
-      kcfg.instr_per_request = app.instr;
-      kcfg.max_batch = app.batch;
-      kcfg.name = app.vm + ":kv";
-      std::vector<hv::Vcpu*> subset(vcpus.begin() + static_cast<std::ptrdiff_t>(from),
-                                    vcpus.end());
-      kv_servers.push_back(
-          std::make_unique<wl::RequestServer>(*hv, dom, kcfg, subset));
-      if (spec.slo_ms > 0) {
-        kv_servers.back()->set_slo_threshold(spec.slo_ms / 1e3);
-      }
-      // No starter: workers park blocked until the first submit wakes them.
-    } else if (app.kind == "hungry") {
-      std::vector<hv::Vcpu*> subset(vcpus.begin() + static_cast<std::ptrdiff_t>(from),
-                                    vcpus.end());
-      hogs.push_back(std::make_unique<wl::HungryLoops>(*hv, dom, subset));
-      wl::HungryLoops* h = hogs.back().get();
-      starters.push_back([h] { h->start(); });
-    } else {  // ticks
-      std::vector<hv::Vcpu*> subset(vcpus.begin() + static_cast<std::ptrdiff_t>(from),
-                                    vcpus.end());
-      ticks.push_back(std::make_unique<wl::GuestOsTicks>(*hv, dom, subset));
-      wl::GuestOsTicks* t = ticks.back().get();
-      starters.push_back([t] { t->start(); });
-    }
-  }
-  if (measured.empty() && !spec.openloop_enabled) {
-    // Serving-only scenarios are horizon-bounded by design, like pure
-    // background cluster fleets; anything else must measure something.
-    throw std::invalid_argument("scenario has nothing to measure");
-  }
-
-  hv->start();
-  int launch = 0;
-  for (auto& start : starters) {
-    hv->engine().schedule(sim::Time::ms(10 * launch++), start);
-  }
-
-  // Dynamic background churn, if requested.  Declared after `hv` so its
-  // pending events are cancelled before the hypervisor dies.
-  std::unique_ptr<ChurnDriver> churn;
-  if (spec.churn_enabled) {
-    ChurnOptions copts = spec.churn;
-    if (copts.seed == 0) copts.seed = spec.seed;
-    churn = std::make_unique<ChurnDriver>(*hv, copts);
-    churn->start();
-  }
-
-  // Open-loop traffic against the kv servers; declared after `hv` and
-  // `kv_servers` so it dies (cancelling its pending arrival) first.
-  std::unique_ptr<wl::OpenLoopClient> open_loop;
-  if (spec.openloop_enabled) {
-    if (kv_servers.empty()) {
-      throw std::invalid_argument("openloop requires at least one kind=kv app");
-    }
-    std::vector<wl::RequestServer*> targets;
-    targets.reserve(kv_servers.size());
-    for (const auto& s : kv_servers) targets.push_back(s.get());
-    open_loop = std::make_unique<wl::OpenLoopClient>(
-        hv->engine(), open_loop_config(spec), std::move(targets));
-    open_loop->start();
-  }
-
-  bool done;
-  if (!measured.empty()) {
-    done = run_until(
-        *hv,
-        [&] {
-          return std::all_of(measured.begin(), measured.end(),
-                             [](const Measured& m) { return m.finished(); });
-        },
-        sim::Time::seconds(spec.horizon_s));
-  } else {
-    // Serving-only run: horizon-bounded by design, not incomplete.
-    run_until(*hv, [] { return false; }, sim::Time::seconds(spec.horizon_s));
-    done = true;
-  }
-
-  stats::RunMetrics metrics;
-  metrics.scheduler = to_string(spec.sched);
-  metrics.workload = "scenario";
-  metrics.completed = done;
-  pmu::CounterSet counters;
-  std::vector<hv::Domain*> counted;
-  for (const Measured& m : measured) {
-    metrics.app_runtime_s[m.name] = m.finished() ? m.runtime_s() : 0.0;
-    if (std::find(counted.begin(), counted.end(), m.domain) == counted.end()) {
-      counted.push_back(m.domain);
-      counters += m.domain->total_counters();
-    }
-  }
-  metrics.finalize();
-  metrics.total_mem_accesses = counters.total_mem_accesses();
-  metrics.remote_mem_accesses = counters.remote_accesses;
-  metrics.migrations = hv->total_migrations();
-  metrics.cross_node_migrations = hv->total_cross_node_migrations();
-  const double busy = hv->total_busy_time().to_seconds();
-  metrics.overhead_fraction =
-      busy > 0 ? hv->overhead().paper_overhead().to_seconds() / busy : 0.0;
-  metrics.sim_seconds = hv->now().to_seconds();
-  if (!kv_servers.empty()) {
-    metrics.slo_threshold_s = spec.slo_ms / 1e3;
-    std::uint64_t served = 0;
-    for (const auto& s : kv_servers) {
-      metrics.latency.merge(s->latency_hist());
-      metrics.slo_violations += s->slo_violations();
-      served += s->served();
-    }
-    if (metrics.sim_seconds > 0) {
-      metrics.throughput_rps =
-          static_cast<double>(served) / metrics.sim_seconds;
-    }
-    if (open_loop) metrics.arrival_events = open_loop->arrival_events();
-    for (const auto& s : kv_servers) {
-      metrics.arrival_events += s->arrival_events();
-      metrics.arrivals_coalesced += s->arrivals_coalesced();
-    }
-  }
   return metrics;
 }
 

@@ -30,6 +30,16 @@
 // filter), may run with no measured app (they stop at the horizon), and
 // report per-host plus cluster-rollup metrics.
 //
+// A `machine` spec runs as a cluster of one: the same run path, with one
+// host on the control engine (child_seed(seed, 0) == seed).  What a single
+// machine means stays as data: every app starts in its own staggered slot
+// (no VM is movable), churn goes straight to the hypervisor (hypervisor-
+// mode ChurnDriver), the metrics carry no `hosts` entries, and a run with
+// nothing to measure is an error unless it serves open-loop traffic.  Its
+// VMs pass the fleet admission filter too, so a VM that does not fit the
+// machine, or one beyond 8x VCPU overcommit, is refused with
+// std::invalid_argument naming the VM.
+//
 // Open-loop serving (docs/SERVING.md): `kind=kv` apps build RequestServers
 // and the `openloop`/`slo` directives drive and judge them:
 //
@@ -171,7 +181,9 @@ struct ScenarioSpec {
 ScenarioSpec parse_scenario(std::string_view text);
 
 /// Build, run and measure the scenario.  Returns aggregated metrics over
-/// the measured apps (runtime per app, counters of their VMs).
+/// the measured apps (runtime per app, counters of their VMs).  Throws
+/// std::invalid_argument when the spec cannot run (a VM refused admission,
+/// nothing to measure, an app beyond its VM's VCPUs).
 stats::RunMetrics run_scenario(const ScenarioSpec& spec);
 
 }  // namespace vprobe::runner

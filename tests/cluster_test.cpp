@@ -175,8 +175,9 @@ TEST(ClusterOfOne, TraceDigestMatchesSingleMachinePath) {
 }
 
 TEST(ClusterOfOne, ScenarioMetricsMatchSingleMachinePath) {
-  // The same scenario through both run_scenario paths; `machines xeon_e5620`
-  // instead of `machine xeon_e5620` is the only difference.
+  // `machine xeon_e5620` (a cluster of one in the single-machine output
+  // shape) and `machines xeon_e5620` (a one-host fleet) must measure the
+  // same run; only the per-host breakdown differs.
   const std::string body = R"(scheduler credit
 seed 3
 scale 0.05
@@ -197,6 +198,7 @@ app vm=only kind=spec profile=soplex count=2 measure=1
   EXPECT_EQ(fleet.cross_node_migrations, single.cross_node_migrations);
   EXPECT_EQ(fleet.total_mem_accesses, single.total_mem_accesses);
   EXPECT_EQ(fleet.remote_mem_accesses, single.remote_mem_accesses);
+  EXPECT_FALSE(single.is_cluster_run());
   ASSERT_EQ(fleet.hosts.size(), 1u);
   EXPECT_GT(fleet.hosts[0].trace_records, 0u);
 }

@@ -183,12 +183,15 @@ TEST(GoldenTrace, DigestIsReproducibleWithinProcess) {
   EXPECT_EQ(a.digest, b.digest);
 }
 
-std::string sched_test_name(const ::testing::TestParamInfo<runner::SchedKind>& info) {
-  std::string name = sched_key(info.param);
-  for (char& c : name) {
+std::string test_name(std::string key) {
+  for (char& c : key) {
     if (c == '_') c = 'P';  // gtest names must be alphanumeric
   }
-  return name;
+  return key;
+}
+
+std::string sched_test_name(const ::testing::TestParamInfo<runner::SchedKind>& info) {
+  return test_name(sched_key(info.param));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchedulers, GoldenTrace,
@@ -219,6 +222,12 @@ struct ScenarioCase {
   const char* scenario;
   runner::SchedKind sched;
 };
+
+// Without this gtest prints the raw bytes (a pointer and padding), which
+// would make the listed test names differ from build to build.
+void PrintTo(const ScenarioCase& c, std::ostream* os) {
+  *os << c.scenario << ' ' << sched_key(c.sched);
+}
 
 class GoldenScenario : public ::testing::TestWithParam<ScenarioCase> {};
 
@@ -261,11 +270,7 @@ TEST_P(GoldenScenario, JsonMatchesCheckedInDigest) {
 }
 
 std::string scenario_test_name(const ::testing::TestParamInfo<ScenarioCase>& info) {
-  std::string name = std::string(info.param.scenario) + "_" + sched_key(info.param.sched);
-  for (char& c : name) {
-    if (c == '_') c = 'P';  // gtest names must be alphanumeric
-  }
-  return name;
+  return test_name(std::string(info.param.scenario) + "_" + sched_key(info.param.sched));
 }
 
 INSTANTIATE_TEST_SUITE_P(

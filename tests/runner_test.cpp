@@ -386,6 +386,22 @@ app vm=A kind=hungry
                std::invalid_argument);
 }
 
+TEST(ScenarioFile, OversizeVmRejectedByAdmission) {
+  // A single machine admits its VMs through the same placement filter as a
+  // fleet: a VM larger than the box is refused by name, not by bad_alloc.
+  const ScenarioSpec spec = parse_scenario(R"(
+machine xeon_e5620
+vm name=big mem=100G vcpus=2
+app vm=big kind=spec profile=soplex measure=1
+)");
+  try {
+    run_scenario(spec);
+    FAIL() << "oversize VM was admitted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("vm 'big'"), std::string::npos) << e.what();
+  }
+}
+
 TEST(ScenarioFile, NpbAndFourNodeMachine) {
   const stats::RunMetrics m = run_scenario(parse_scenario(R"(
 machine four_node
