@@ -430,8 +430,15 @@ stats::RunMetrics run_scenario(const ScenarioSpec& spec) {
     }
   }
 
+  // A single machine reports no per-host breakdown, so its JSON and CSV
+  // keep the single-machine shape (is_cluster_run() stays false).  Nothing
+  // reads its trace either: the host gets the smallest ring and records
+  // nothing into it.
+  const bool per_host = spec.cluster_mode();
+
   cluster::Config ccfg;
   ccfg.seed = spec.seed;
+  if (!per_host) ccfg.trace_capacity = 1;
   ccfg.sim_threads = spec.sim_threads;
   ccfg.window_batch = spec.window_batch;
   ccfg.host_template.rate_cache = opts.rate_cache;
@@ -440,6 +447,7 @@ stats::RunMetrics run_scenario(const ScenarioSpec& spec) {
     ccfg.balance_threshold = spec.balance_threshold;
   }
   cluster::Cluster fleet(ccfg, host_specs, scheduler_factory(spec.sched, opts));
+  if (!per_host) fleet.host(0).set_tracer(nullptr);
 
   // Admit the declared VMs in file order.  In a fleet, a VM whose apps are
   // all background (hungry/ticks) is cluster-managed and rebindable — the
@@ -717,9 +725,7 @@ stats::RunMetrics run_scenario(const ScenarioSpec& spec) {
     busy_total += hv.total_busy_time().to_seconds();
     overhead_total += hv.overhead().paper_overhead().to_seconds();
 
-    // A single machine reports no per-host breakdown, so its JSON and CSV
-    // keep the single-machine shape (is_cluster_run() stays false).
-    if (!spec.cluster_mode()) continue;
+    if (!per_host) continue;
     stats::HostMetrics host;
     host.name = fleet.host_name(id);
     host.machine = host_kinds[static_cast<std::size_t>(id)];
@@ -747,7 +753,7 @@ stats::RunMetrics run_scenario(const ScenarioSpec& spec) {
       metrics.latency.merge(s.latency_hist());
       metrics.slo_violations += s.slo_violations();
       served += s.served();
-      if (!metrics.is_cluster_run()) continue;
+      if (!per_host) continue;
       auto& host =
           metrics.hosts[static_cast<std::size_t>(kv_server_hosts[i])];
       host.latency.merge(s.latency_hist());

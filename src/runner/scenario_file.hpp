@@ -34,8 +34,9 @@
 // host on the control engine (child_seed(seed, 0) == seed).  What a single
 // machine means stays as data: every app starts in its own staggered slot
 // (no VM is movable), churn goes straight to the hypervisor (hypervisor-
-// mode ChurnDriver), the metrics carry no `hosts` entries, and a run with
-// nothing to measure is an error unless it serves open-loop traffic.  Its
+// mode ChurnDriver), the metrics carry no `hosts` entries (so the host
+// records no trace; nothing would report it), and a run with nothing to
+// measure is an error unless it serves open-loop traffic.  Its
 // VMs pass the fleet admission filter too, so a VM that does not fit the
 // machine, or one beyond 8x VCPU overcommit, is refused with
 // std::invalid_argument naming the VM.

@@ -4,29 +4,33 @@
 
 namespace vprobe::trace {
 
-void TraceDigest::mix(std::uint64_t v) {
+namespace {
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+}  // namespace
+
+std::uint64_t fnv1a_mix(std::uint64_t hash, std::uint64_t value) {
   for (int i = 0; i < 8; ++i) {
-    hash_ ^= (v >> (8 * i)) & 0xffu;
-    hash_ *= kPrime;
+    hash ^= (value >> (8 * i)) & 0xffu;
+    hash *= kFnvPrime;
   }
+  return hash;
+}
+
+std::uint64_t fnv1a_bytes(std::uint64_t hash, std::string_view bytes) {
+  for (const char ch : bytes) {
+    hash ^= static_cast<unsigned char>(ch);
+    hash *= kFnvPrime;
+  }
+  return hash;
 }
 
 void TraceDigest::add(const Record& r) {
-  mix(static_cast<std::uint64_t>(r.when.nanos()));
-  mix(static_cast<std::uint64_t>(r.kind));
-  mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.vcpu)));
-  mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.pcpu)));
-  mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.aux)));
+  hash_ = fnv1a_mix(hash_, static_cast<std::uint64_t>(r.when.nanos()));
+  hash_ = fnv1a_mix(hash_, static_cast<std::uint64_t>(r.kind));
+  hash_ = fnv1a_mix(hash_, static_cast<std::uint64_t>(static_cast<std::int64_t>(r.vcpu)));
+  hash_ = fnv1a_mix(hash_, static_cast<std::uint64_t>(static_cast<std::int64_t>(r.pcpu)));
+  hash_ = fnv1a_mix(hash_, static_cast<std::uint64_t>(static_cast<std::int64_t>(r.aux)));
   ++records_;
-}
-
-std::uint64_t fnv1a_mix(std::uint64_t hash, std::uint64_t value) {
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (value >> (8 * i)) & 0xffu;
-    hash *= kPrime;
-  }
-  return hash;
 }
 
 std::uint64_t digest_records(std::span<const Record> records) {

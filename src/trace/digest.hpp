@@ -11,10 +11,22 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "trace/event.hpp"
 
 namespace vprobe::trace {
+
+/// One FNV-1a step folding an arbitrary 64-bit value into `hash`, byte by
+/// byte, little-endian.  Start from fnv1a_basis().  Besides the per-record
+/// digest it combines per-host stream digests into a single fleet digest:
+/// fold (host id, digest, record count) in host-id order.
+std::uint64_t fnv1a_mix(std::uint64_t hash, std::uint64_t value);
+constexpr std::uint64_t fnv1a_basis() { return 1469598103934665603ull; }
+
+/// FNV-1a over a byte string, one step per byte — e.g. a digest of a
+/// run's JSON output.
+std::uint64_t fnv1a_bytes(std::uint64_t hash, std::string_view bytes);
 
 class TraceDigest {
  public:
@@ -24,23 +36,12 @@ class TraceDigest {
   std::uint64_t records() const { return records_; }
 
  private:
-  static constexpr std::uint64_t kOffsetBasis = 1469598103934665603ull;
-  static constexpr std::uint64_t kPrime = 1099511628211ull;
-
-  void mix(std::uint64_t v);
-
-  std::uint64_t hash_ = kOffsetBasis;
+  std::uint64_t hash_ = fnv1a_basis();
   std::uint64_t records_ = 0;
 };
 
 /// Digest of a whole record sequence (e.g. Tracer::snapshot()).
 std::uint64_t digest_records(std::span<const Record> records);
-
-/// One FNV-1a step folding an arbitrary 64-bit value into `hash` — used to
-/// combine per-host stream digests into a single fleet digest.  Start from
-/// fnv1a_basis() and fold (host id, digest, record count) in host-id order.
-std::uint64_t fnv1a_mix(std::uint64_t hash, std::uint64_t value);
-constexpr std::uint64_t fnv1a_basis() { return 1469598103934665603ull; }
 
 /// 16 lowercase hex digits, zero-padded — the golden-file spelling.
 std::string digest_hex(std::uint64_t value);

@@ -60,16 +60,23 @@ std::map<std::string, GoldenEntry> load_goldens(const std::string& path = golden
   return goldens;
 }
 
-void save_goldens(const std::map<std::string, GoldenEntry>& goldens) {
-  std::ofstream out(golden_path());
-  out << "# Golden trace digests: <scheduler> <records> <fnv1a-64 hex>\n"
-      << "# Mini scenario (tests/scenario_helpers.hpp), seed " << kGoldenSeed
-      << ", 400 ms.\n"
-      << "# churn_credit: same scenario under Credit plus a seeded ChurnDriver.\n"
-      << "# Regenerate: VPROBE_UPDATE_GOLDEN=1 ctest -L golden\n";
+void save_goldens(const std::map<std::string, GoldenEntry>& goldens,
+                  const std::string& path, const std::string& header) {
+  std::ofstream out(path);
+  out << header;
   for (const auto& [key, entry] : goldens) {
     out << key << ' ' << entry.records << ' ' << entry.digest << '\n';
   }
+}
+
+void save_trace_goldens(const std::map<std::string, GoldenEntry>& goldens) {
+  std::ostringstream header;
+  header << "# Golden trace digests: <scheduler> <records> <fnv1a-64 hex>\n"
+         << "# Mini scenario (tests/scenario_helpers.hpp), seed " << kGoldenSeed
+         << ", 400 ms.\n"
+         << "# churn_credit: same scenario under Credit plus a seeded ChurnDriver.\n"
+         << "# Regenerate: VPROBE_UPDATE_GOLDEN=1 ctest -L golden\n";
+  save_goldens(goldens, golden_path(), header.str());
 }
 
 bool update_mode() { return std::getenv("VPROBE_UPDATE_GOLDEN") != nullptr; }
@@ -112,7 +119,7 @@ TEST_P(GoldenTrace, MatchesCheckedInDigest) {
   auto goldens = load_goldens();
   if (update_mode()) {
     goldens[key] = actual;
-    save_goldens(goldens);
+    save_trace_goldens(goldens);
     GTEST_SKIP() << "golden updated: " << key << " = " << actual.digest;
   }
 
@@ -164,7 +171,7 @@ TEST(GoldenTrace, ChurnScenarioMatchesCheckedInDigest) {
   auto goldens = load_goldens();
   if (update_mode()) {
     goldens[key] = actual;
-    save_goldens(goldens);
+    save_trace_goldens(goldens);
     GTEST_SKIP() << "golden updated: " << key << " = " << actual.digest;
   }
   ASSERT_TRUE(goldens.count(key))
@@ -205,18 +212,13 @@ std::string scenarios_golden_path() {
   return std::string(VPROBE_GOLDEN_DIR) + "/scenarios.txt";
 }
 
-void save_scenario_goldens(const std::map<std::string, GoldenEntry>& goldens) {
-  std::ofstream out(scenarios_golden_path());
-  out << "# Single-machine scenario goldens: <scenario>_<scheduler> <json bytes>"
-         " <fnv1a-64 hex>\n"
-      << "# examples/scenarios/<scenario>.scn at its own seed, scheduler"
-         " overridden;\n"
-      << "# the digest is FNV-1a over run_scenario's stats::to_json output.\n"
-      << "# Regenerate: VPROBE_UPDATE_GOLDEN=1 ctest -L golden\n";
-  for (const auto& [key, entry] : goldens) {
-    out << key << ' ' << entry.records << ' ' << entry.digest << '\n';
-  }
-}
+constexpr const char* kScenarioGoldenHeader =
+    "# Single-machine scenario goldens: <scenario>_<scheduler> <json bytes>"
+    " <fnv1a-64 hex>\n"
+    "# examples/scenarios/<scenario>.scn at its own seed, scheduler"
+    " overridden;\n"
+    "# the digest is FNV-1a over run_scenario's stats::to_json output.\n"
+    "# Regenerate: VPROBE_UPDATE_GOLDEN=1 ctest -L golden\n";
 
 struct ScenarioCase {
   const char* scenario;
@@ -245,19 +247,14 @@ TEST_P(GoldenScenario, JsonMatchesCheckedInDigest) {
   const stats::RunMetrics m = runner::run_scenario(spec);
   ASSERT_TRUE(m.completed) << key;
   const std::string json = stats::to_json(m);
-  std::uint64_t hash = trace::fnv1a_basis();
-  for (const char ch : json) {
-    hash ^= static_cast<unsigned char>(ch);
-    hash *= 1099511628211ull;  // FNV-1a 64 prime
-  }
   GoldenEntry actual;
   actual.records = json.size();
-  actual.digest = trace::digest_hex(hash);
+  actual.digest = trace::digest_hex(trace::fnv1a_bytes(trace::fnv1a_basis(), json));
 
   auto goldens = load_goldens(scenarios_golden_path());
   if (update_mode()) {
     goldens[key] = actual;
-    save_scenario_goldens(goldens);
+    save_goldens(goldens, scenarios_golden_path(), kScenarioGoldenHeader);
     GTEST_SKIP() << "golden updated: " << key << " = " << actual.digest;
   }
   ASSERT_TRUE(goldens.count(key))
