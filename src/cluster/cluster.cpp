@@ -69,8 +69,8 @@ Cluster::~Cluster() {
   balance_timer_.cancel();
   for (auto& vm : vms_) vm->migration_event.cancel();
   // Drop every pending event before any host dies: cross-host events (and
-  // uncancellable zero-delay poke/preempt lambdas) hold references into
-  // host state that per-host teardown cannot reach.
+  // uncancellable zero-delay tickle batches, which link PCPUs) hold
+  // references into host state that per-host teardown cannot reach.
   engine_.clear();
   for (auto& shard : shard_engines_) shard->clear();
 }

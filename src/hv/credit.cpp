@@ -26,9 +26,10 @@ void CreditScheduler::enqueue(Vcpu& vcpu) {
 void CreditScheduler::vcpu_wake(Vcpu& vcpu) {
   // Xen's wakeup boost: an UNDER VCPU waking from sleep preempts CPU hogs.
   if (vcpu.priority == CreditPrio::kUnder) vcpu.priority = CreditPrio::kBoost;
-  // Wake onto the last-used PCPU; idle peers are tickled by the hypervisor
-  // and will pull it over via steal() — that migration path is what makes
-  // plain Credit NUMA-oblivious.
+  // Wake onto the last-used PCPU; the hypervisor then tickles every idle
+  // peer (one batched reschedule, local node first), and each of them may
+  // pull it over via steal() — that migration path is what makes plain
+  // Credit NUMA-oblivious.
   enqueue(vcpu);
 }
 

@@ -60,8 +60,8 @@ Hypervisor::~Hypervisor() {
     return;
   }
   // Shared engine: other hosts' events must survive, so cancel only the
-  // handles this host owns.  Zero-delay poke/preempt lambdas capture raw
-  // pointers and have no handle here — the fleet owner is required to
+  // handles this host owns.  A queued tickle batch (arm_tickle) captures raw
+  // PCPU pointers and has no handle here — the fleet owner is required to
   // Engine::clear() before destroying any host (Cluster's destructor does).
   for (sim::EventHandle& timer : tick_timers_) timer.cancel();
   accounting_timer_.cancel();
@@ -333,39 +333,77 @@ void Hypervisor::wake(Vcpu& vcpu) {
   tickle_after_wake(vcpu);
 }
 
+namespace {
+
+/// One tickle batch under construction: a list through Pcpu::poke_next.  A
+/// PCPU already waiting in a queued batch is skipped; its pending turn will
+/// reschedule it.
+struct PokeBatch {
+  Pcpu* head = nullptr;
+  Pcpu* tail = nullptr;
+
+  void add(Pcpu& p) {
+    if (p.poke_pending) return;
+    p.poke_pending = true;
+    (tail != nullptr ? tail->poke_next : head) = &p;
+    tail = &p;
+  }
+};
+
+}  // namespace
+
 void Hypervisor::tickle_after_wake(Vcpu& vcpu) {
   Pcpu& target = pcpu(vcpu.pcpu);
+  Pcpu* preempt = nullptr;
+  PokeBatch batch;
   if (target.idle()) {
-    poke(target);
+    batch.add(target);
   } else if (static_cast<int>(vcpu.priority) <
              static_cast<int>(target.current->priority)) {
-    request_preempt(target);
+    preempt = &target;
   }
   // Idle peers may steal the new arrival (Xen tickles the idler mask).
-  // Pokes are queued local-node first: the tickle IPI to a same-socket
-  // idler lands and reschedules before a cross-socket one, so local idlers
-  // win the race for the new arrival on real hardware too.
+  // Pokes run local-node first: the tickle IPI to a same-socket idler lands
+  // and reschedules before a cross-socket one, so local idlers win the race
+  // for the new arrival on real hardware too.
   for (auto& p : pcpus_) {
-    if (p.idle() && p.id != target.id && p.node == target.node) poke(p);
+    if (p.idle() && p.id != target.id && p.node == target.node) batch.add(p);
   }
   for (auto& p : pcpus_) {
-    if (p.idle() && p.id != target.id && p.node != target.node) poke(p);
+    if (p.idle() && p.id != target.id && p.node != target.node) batch.add(p);
   }
+  // The whole tickle is one engine event.  Armed one event per PCPU, these
+  // bodies would hold contiguous sequence numbers at the same time, so no
+  // other event could fire between them and everything they schedule would
+  // fire after the last one: running them back to back in a single event
+  // is the same order (docs/ENGINE.md, "Determinism contract").
+  arm_tickle(preempt, batch.head);
 }
 
 void Hypervisor::poke(Pcpu& p) {
-  if (p.poke_pending) return;
-  p.poke_pending = true;
-  engine_.schedule(sim::Time::zero(), [this, &p] {
-    p.poke_pending = false;
-    if (p.idle()) schedule_pcpu(p);
-  });
+  PokeBatch batch;
+  batch.add(p);
+  arm_tickle(nullptr, batch.head);
 }
 
 void Hypervisor::request_preempt(Pcpu& p) {
-  if (!p.busy()) return;
-  engine_.schedule(sim::Time::zero(), [this, &p] {
-    if (p.busy()) end_segment(p, /*force_requeue=*/true);
+  if (p.busy()) arm_tickle(&p, nullptr);
+}
+
+void Hypervisor::arm_tickle(Pcpu* preempt, Pcpu* head) {
+  if (preempt == nullptr && head == nullptr) return;
+  engine_.schedule(sim::Time::zero(), [this, preempt, head] {
+    if (preempt != nullptr && preempt->busy()) {
+      end_segment(*preempt, /*force_requeue=*/true);
+    }
+    for (Pcpu* p = head; p != nullptr;) {
+      // Unlink first: once its flag clears, this PCPU may join a new batch.
+      Pcpu* next = p->poke_next;
+      p->poke_next = nullptr;
+      p->poke_pending = false;
+      if (p->idle()) schedule_pcpu(*p);
+      p = next;
+    }
   });
 }
 

@@ -232,6 +232,10 @@ class Hypervisor {
   void pause_vcpu(Vcpu& vcpu);
   void resume_vcpu(Vcpu& vcpu);
   void tickle_after_wake(Vcpu& vcpu);
+  /// Arm one zero-delay event that preempts `preempt` (if still busy) and
+  /// then reschedules each still-idle PCPU of the `poke_next` chain from
+  /// `head`, in list order.  Either may be null; both null arms nothing.
+  void arm_tickle(Pcpu* preempt, Pcpu* head);
   void on_tick(Pcpu& pcpu);
   void on_accounting();
 

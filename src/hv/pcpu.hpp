@@ -47,7 +47,13 @@ struct Pcpu {
   /// Hypervisor time (PMU collection, partitioning, ...) charged to this
   /// PCPU; subtracted from the next segment's useful execution time.
   sim::Time pending_stall;
-  bool poke_pending = false;        ///< a zero-delay reschedule is queued
+  /// Set while this PCPU waits in a queued tickle batch (one zero-delay
+  /// event that reschedules each member in turn); cleared just before its
+  /// turn runs.  A PCPU already waiting is not added to another batch.
+  bool poke_pending = false;
+  /// Next PCPU of the same tickle batch (intrusive list; nullptr ends it,
+  /// and is the value whenever poke_pending is clear).
+  Pcpu* poke_next = nullptr;
 
   // -- Statistics -------------------------------------------------------------
   sim::Time busy_time;

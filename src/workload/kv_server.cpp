@@ -171,15 +171,12 @@ hv::Outcome RequestServer::worker_batch_done(int worker, sim::Time now) {
   const int done = inflight_[w];
   inflight_[w] = 0;
   served_ += static_cast<std::uint64_t>(done);
-  // Latency: drain arrival records in FIFO order, one sample per batch of
-  // same-time arrivals (weighting by count would not change percentiles of
-  // the homogeneous streams the load generators produce).
+  // Latency: drain arrival records in FIFO order.
   int to_account = done;
   auto& arrivals = arrival_queues_[w];
   while (to_account > 0 && !arrivals.empty()) {
     auto& [when, count] = arrivals.front();
     const double sojourn = (now - when).to_seconds();
-    latency_.add(sojourn);
     const int used = std::min(count, to_account);
     // The histogram weights by request count so partially-drained batches
     // are accounted per request; pure bookkeeping, no events or RNG, so

@@ -20,7 +20,6 @@
 
 #include "sim/engine.hpp"
 #include "stats/histogram.hpp"
-#include "stats/summary.hpp"
 #include "workload/app.hpp"
 
 namespace vprobe::wl {
@@ -87,11 +86,9 @@ class RequestServer {
 
   /// Request sojourn times (submit -> batch completion), in seconds — the
   /// latency distribution a load tester would report alongside throughput.
-  const stats::Summary& latency() const { return latency_; }
-
-  /// Same sojourn times recorded into the fixed-memory log-bucketed
-  /// histogram, weighted by request count (one unit per request, so
-  /// partial batch completions are accounted per request, not per sample).
+  /// A fixed-memory log-bucketed histogram, weighted by request count (one
+  /// unit per request, so partial batch completions are accounted per
+  /// request, not per sample).
   const stats::LatencyHistogram& latency_hist() const { return latency_hist_; }
 
   /// SLO accounting: requests slower than the threshold are counted exactly
@@ -160,7 +157,6 @@ class RequestServer {
   std::vector<int> inflight_;   ///< requests covered by the current burst
   /// Per-worker FIFO of (submit time, request count) for latency tracking.
   std::vector<std::deque<std::pair<sim::Time, int>>> arrival_queues_;
-  stats::Summary latency_;
   stats::LatencyHistogram latency_hist_;
   double slo_threshold_s_ = 0.0;
   std::uint64_t slo_violations_ = 0;

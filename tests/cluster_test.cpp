@@ -327,6 +327,36 @@ TEST(Migration, RefusalsAndCancellation) {
   EXPECT_EQ(fleet.migrations_completed(), 0u);
 }
 
+// -- Teardown -------------------------------------------------------------------
+
+TEST(ClusterTeardown, PendingTickleBatchIsDroppedCleanly) {
+  // A wake-up tickle is one queued event whose members are linked through
+  // their PCPUs.  Destroying the fleet before it fires must neither touch a
+  // dead host nor leak (the asan preset runs this).
+  for (const int threads : {1, 2}) {
+    cluster::Config ccfg;
+    ccfg.sim_threads = threads;
+    std::vector<cluster::HostSpec> hosts(2);
+    cluster::Cluster fleet(ccfg, hosts,
+                           runner::scheduler_factory(runner::SchedKind::kCredit));
+    cluster::VmSpec opaque;
+    opaque.name = "opaque";
+    opaque.mem_bytes = 1 * kGiB;
+    opaque.vcpus = 1;
+    opaque.host = 0;
+    const int vm = fleet.admit(std::move(opaque));
+    ASSERT_GE(vm, 0);
+    hv::Hypervisor& host = fleet.host(0);
+    const std::size_t before = fleet.host_engine(0).queued();
+    host.wake(fleet.domain_of(vm)->vcpu(0));
+    EXPECT_EQ(fleet.host_engine(0).queued(), before + 1) << threads;
+    int waiting = 0;
+    for (const hv::Pcpu& p : host.pcpus()) waiting += p.poke_pending ? 1 : 0;
+    EXPECT_EQ(waiting, host.topology().num_pcpus())
+        << "the target and every idle peer wait in the one batch";
+  }
+}
+
 // -- Churn through the control plane --------------------------------------------
 
 TEST(FleetChurn, AdmitsDeterministicallyUnderChecker) {

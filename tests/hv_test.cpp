@@ -1,6 +1,10 @@
 // Hypervisor mechanics tests: domain/VCPU lifecycle, run queues, execution,
-// blocking/waking, migration bookkeeping, overhead ledger.
+// blocking/waking, the coalesced wake-up tickle, migration bookkeeping,
+// overhead ledger.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "hv/run_queue.hpp"
 #include "test_helpers.hpp"
@@ -341,6 +345,113 @@ TEST(Hypervisor, ChargedStallDelaysGuestProgress) {
   EXPECT_FALSE(work.finished);  // the 200 ms stall pushed completion out
   hv->engine().run_until(sim::Time::seconds(1.5));
   EXPECT_TRUE(work.finished);
+}
+
+// ---------------------------------------------------- Wake-up tickle ----
+
+/// FIFO test scheduler that logs every do_schedule and forced requeue.
+class RecordingScheduler : public test::FifoScheduler {
+ public:
+  std::vector<std::string> calls;
+
+  void requeue_preempted(Vcpu& v) override {
+    calls.push_back("requeue " + std::to_string(v.pcpu));
+    FifoScheduler::requeue_preempted(v);
+  }
+  Decision do_schedule(Pcpu& p) override {
+    calls.push_back("schedule " + std::to_string(p.id));
+    return FifoScheduler::do_schedule(p);
+  }
+};
+
+class TickleTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto sched = std::make_unique<RecordingScheduler>();
+    sched_ = sched.get();
+    hv_ = std::make_unique<Hypervisor>(Hypervisor::Config{}, std::move(sched));
+    // The paper machine: PCPUs 0-3 on node 0, 4-7 on node 1.
+    ASSERT_EQ(hv_->topology().num_pcpus(), 8);
+    ASSERT_EQ(hv_->topology().node_of(3), 0);
+    ASSERT_EQ(hv_->topology().node_of(4), 1);
+    dom_ = &hv_->create_domain("VM1", 1 * kTestGB, 2,
+                               numa::PlacementPolicy::kFillFirst, 0);
+    for (std::size_t i = 0; i < work_.size(); ++i) {
+      hv_->bind_work(dom_->vcpu(i), work_[i]);
+    }
+  }
+
+  /// Fire everything queued at the current instant (no timers are armed:
+  /// the hypervisor is never start()ed, so only the tickles are queued).
+  void drain_now() { hv_->engine().run_until(hv_->now()); }
+
+  /// Wake `v` on PCPU 5 (node 1) and check the whole tickle is one event.
+  void wake_on_5(Vcpu& v) {
+    v.pcpu = 5;
+    const std::size_t before = hv_->engine().queued();
+    hv_->wake(v);
+    EXPECT_EQ(hv_->engine().queued(), before + 1) << "one event per tickle";
+  }
+
+  void expect_no_poke_pending() {
+    for (const Pcpu& p : hv_->pcpus()) {
+      EXPECT_FALSE(p.poke_pending) << "pcpu " << p.id;
+      EXPECT_EQ(p.poke_next, nullptr) << "pcpu " << p.id;
+    }
+  }
+
+  std::unique_ptr<Hypervisor> hv_;
+  RecordingScheduler* sched_ = nullptr;
+  Domain* dom_ = nullptr;
+  std::array<FakeWork, 2> work_;
+};
+
+TEST_F(TickleTest, OneEventRunsTargetThenLocalThenRemotePeers) {
+  Vcpu& v = dom_->vcpu(0);
+  wake_on_5(v);  // target 5 plus 7 idle peers
+  EXPECT_TRUE(sched_->calls.empty()) << "nothing runs until the event fires";
+  drain_now();
+  const std::vector<std::string> expected = {
+      "schedule 5",                              // the target
+      "schedule 4", "schedule 6", "schedule 7",  // node-1 peers, ascending
+      "schedule 0", "schedule 1", "schedule 2", "schedule 3"};  // node 0
+  EXPECT_EQ(sched_->calls, expected);
+  EXPECT_EQ(hv_->pcpu(5).current, &v);
+  expect_no_poke_pending();
+}
+
+TEST_F(TickleTest, PeerAlreadyPendingIsVisitedOnce) {
+  hv_->poke(hv_->pcpu(6));  // 6 waits in a batch of its own
+  EXPECT_TRUE(hv_->pcpu(6).poke_pending);
+  wake_on_5(dom_->vcpu(0));
+  drain_now();
+  const std::vector<std::string> expected = {
+      "schedule 6",  // its own, earlier event
+      "schedule 5", "schedule 4", "schedule 7",
+      "schedule 0", "schedule 1", "schedule 2", "schedule 3"};
+  EXPECT_EQ(sched_->calls, expected);
+  expect_no_poke_pending();
+}
+
+TEST_F(TickleTest, TargetPreemptRidesTheSameEventAndRunsFirst) {
+  Vcpu& hog = dom_->vcpu(0);
+  wake_on_5(hog);
+  drain_now();
+  ASSERT_EQ(hv_->pcpu(5).current, &hog);
+  sched_->calls.clear();
+
+  hog.priority = CreditPrio::kOver;
+  Vcpu& waker = dom_->vcpu(1);
+  waker.priority = CreditPrio::kUnder;  // outranks the hog: preempt 5
+  wake_on_5(waker);
+  drain_now();
+  const std::vector<std::string> expected = {
+      "requeue 5", "schedule 5",  // the preempt, then 5's reschedule
+      "schedule 4", "schedule 6", "schedule 7",
+      "schedule 0", "schedule 1", "schedule 2", "schedule 3"};
+  EXPECT_EQ(sched_->calls, expected);
+  EXPECT_EQ(hv_->pcpu(5).current, &waker);
+  expect_no_poke_pending();
 }
 
 }  // namespace
