@@ -18,7 +18,9 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "cluster/cluster.hpp"
 #include "runner/churn.hpp"
+#include "runner/fleet.hpp"
 #include "runner/scenario.hpp"
 #include "stats/metrics.hpp"
 #include "workload/spec.hpp"
@@ -38,20 +40,32 @@ struct ChurnResult {
 ChurnResult run_one(runner::SchedKind kind, const runner::RunConfig& cfg) {
   runner::SchedulerOptions sopts;
   sopts.sampling_period = cfg.sampling_period;
-  auto hv = runner::make_hypervisor(kind, cfg.seed, sopts);
+  // One host under the control plane, which places (or refuses) every
+  // churn arrival.  Nothing reads the host's trace, so it records none.
+  cluster::Config ccfg;
+  ccfg.seed = cfg.seed;
+  ccfg.trace_capacity = 1;
+  ccfg.host_template.rate_cache = sopts.rate_cache;
+  const std::vector<cluster::HostSpec> hosts(1);
+  cluster::Cluster fleet(ccfg, hosts, runner::scheduler_factory(kind, sopts));
+  hv::Hypervisor& hv = fleet.host(0);
+  hv.set_tracer(nullptr);
 
   // The measured VM: 6 GB, 4 VCPUs, one SPEC instance per VCPU.
-  hv::Domain& vm1 = hv->create_domain("VM1", 6ll << 30, 4,
-                                      numa::PlacementPolicy::kFillFirst);
+  cluster::VmSpec measured;
+  measured.name = "VM1";
+  measured.mem_bytes = 6ll << 30;
+  measured.vcpus = 4;
+  hv::Domain& vm1 = *fleet.domain_of(fleet.admit(std::move(measured)));
   auto vcpus = runner::domain_vcpus(vm1);
   std::vector<std::unique_ptr<wl::SpecApp>> apps;
   const char* profiles[] = {"soplex", "mcf", "milc", "libquantum"};
   for (std::size_t i = 0; i < vcpus.size(); ++i) {
     apps.push_back(std::make_unique<wl::SpecApp>(
-        *hv, vm1, *vcpus[i], profiles[i % 4], cfg.instr_scale));
+        hv, vm1, *vcpus[i], profiles[i % 4], cfg.instr_scale));
   }
 
-  hv->start();
+  fleet.start();
   for (auto& app : apps) app->start();
 
   runner::ChurnOptions copts;
@@ -65,11 +79,11 @@ ChurnResult run_one(runner::SchedKind kind, const runner::RunConfig& cfg) {
   copts.max_vcpus = 4;
   copts.min_mem_bytes = 256ll << 20;
   copts.max_mem_bytes = 1ll << 30;
-  runner::ChurnDriver churn(*hv, copts);
+  runner::ChurnDriver churn(fleet, copts);
   churn.start();
 
-  const bool done = runner::run_until(
-      *hv,
+  const bool done = runner::run_cluster_until(
+      fleet,
       [&] {
         for (const auto& app : apps) {
           if (!app->finished()) return false;
@@ -90,9 +104,9 @@ ChurnResult run_one(runner::SchedKind kind, const runner::RunConfig& cfg) {
   const pmu::CounterSet counters = vm1.total_counters();
   out.metrics.total_mem_accesses = counters.total_mem_accesses();
   out.metrics.remote_mem_accesses = counters.remote_accesses;
-  out.metrics.migrations = hv->total_migrations();
-  out.metrics.cross_node_migrations = hv->total_cross_node_migrations();
-  out.metrics.sim_seconds = hv->now().to_seconds();
+  out.metrics.migrations = hv.total_migrations();
+  out.metrics.cross_node_migrations = hv.total_cross_node_migrations();
+  out.metrics.sim_seconds = fleet.now().to_seconds();
   out.arrivals = churn.arrivals();
   out.departures = churn.departures();
   out.pauses = churn.pauses();

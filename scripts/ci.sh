@@ -6,38 +6,16 @@ cd "$(dirname "$0")/.."
 
 JOBS="${JOBS:-$(nproc)}"
 
+# The default test preset runs every registered ctest: all labelled suites
+# and the bench --smoke gates (engine, costmodel, scaling_machines,
+# pdes_scaling, serving, churn_consolidation) included.
 echo "== default preset: build + full test suite =="
 cmake --preset default
 cmake --build --preset default -j "$JOBS"
 ctest --preset default -j "$JOBS"
 
-echo "== labelled suites (golden, differential, engine, churn, costmodel, cluster, pdes, serving) =="
-ctest --test-dir build -L golden --output-on-failure
-ctest --test-dir build -L differential --output-on-failure
-ctest --test-dir build -L engine --output-on-failure
-ctest --test-dir build -L churn --output-on-failure
-ctest --test-dir build -L costmodel --output-on-failure
-ctest --test-dir build -L cluster --output-on-failure
-ctest --test-dir build -L pdes --output-on-failure
-ctest --test-dir build -L serving --output-on-failure
-
-echo "== engine hot-path smoke (zero steady-state allocations gate) =="
-./build/bench/engine_bench --smoke
-
-echo "== cost-model memo smoke (bit-identity + hit-rate + lookup-count gate) =="
-./build/bench/costmodel_bench --smoke
-
-echo "== lifecycle churn fuzzer smoke (invariants under create/destroy/pause) =="
+echo "== lifecycle churn fuzzer smoke (shorter op sequences than the ctest run) =="
 ./build/tests/churn_fuzz_test --smoke
-
-echo "== fleet scaling smoke (cluster determinism + live migration + FleetCheck) =="
-./build/bench/scaling_machines --smoke
-
-echo "== PDES scaling smoke (sharded/batched/unbatched digest identity + coalescing proof) =="
-./build/bench/pdes_scaling --smoke
-
-echo "== serving smoke (calm prefix + spike collapse + PDES identity + 1M-rps lazy-arrival gate) =="
-./build/bench/serving_bench --smoke
 
 echo "== perf suite smoke (replica == entry point, recorded digests, declared metric names) =="
 python3 perfsuite/run.py --smoke

@@ -5,42 +5,26 @@
 
 #include "cluster/cluster.hpp"
 #include "runner/fleet.hpp"
-#include "runner/scenario.hpp"
 #include "sim/log.hpp"
 
 namespace vprobe::runner {
 
-ChurnDriver::ChurnDriver(hv::Hypervisor& hv, ChurnOptions options)
-    : hv_(&hv), options_(options), rng_(options.seed ^ 0xc4ceb9fe1a85ec53ull) {
-  options_.min_vcpus = std::max(1, options_.min_vcpus);
-  options_.max_vcpus = std::max(options_.min_vcpus, options_.max_vcpus);
-  options_.min_mem_bytes =
-      std::max(hv.config().machine.chunk_bytes, options_.min_mem_bytes);
-  options_.max_mem_bytes =
-      std::max(options_.min_mem_bytes, options_.max_mem_bytes);
-}
-
 ChurnDriver::ChurnDriver(cluster::Cluster& cluster, ChurnOptions options)
-    : hv_(nullptr),
-      cluster_(&cluster),
+    : cluster_(&cluster),
       options_(options),
       rng_(options.seed ^ 0xc4ceb9fe1a85ec53ull) {
+  for (int id = 0; id < cluster.num_hosts(); ++id) {
+    chunk_bytes_ =
+        std::max(chunk_bytes_, cluster.host(id).config().machine.chunk_bytes);
+  }
   options_.min_vcpus = std::max(1, options_.min_vcpus);
   options_.max_vcpus = std::max(options_.min_vcpus, options_.max_vcpus);
-  // Round against the coarsest chunk size in the fleet so a drawn size is
-  // chunk-aligned on every candidate host.
-  std::int64_t chunk = 1;
-  for (int id = 0; id < cluster.num_hosts(); ++id) {
-    chunk = std::max(chunk, cluster.host(id).config().machine.chunk_bytes);
-  }
-  options_.min_mem_bytes = std::max(chunk, options_.min_mem_bytes);
+  options_.min_mem_bytes = std::max(chunk_bytes_, options_.min_mem_bytes);
   options_.max_mem_bytes =
       std::max(options_.min_mem_bytes, options_.max_mem_bytes);
 }
 
-sim::Engine& ChurnDriver::engine() {
-  return cluster_ != nullptr ? cluster_->engine() : hv_->engine();
-}
+sim::Engine& ChurnDriver::engine() { return cluster_->engine(); }
 
 ChurnDriver::~ChurnDriver() {
   arrival_event_.cancel();
@@ -78,171 +62,87 @@ void ChurnDriver::on_arrival() {
     return;
   }
 
+  // Draw the guest flavour, then let the control plane place or refuse it.
   const int vcpus = static_cast<int>(
       rng_.uniform_int(options_.min_vcpus, options_.max_vcpus));
-
-  if (cluster_ != nullptr) {
-    // Fleet mode: round against the coarsest chunk (see the constructor),
-    // draw the guest flavour, and let the control plane place or reject.
-    std::int64_t chunk = 1;
-    for (int id = 0; id < cluster_->num_hosts(); ++id) {
-      chunk = std::max(chunk, cluster_->host(id).config().machine.chunk_bytes);
-    }
-    std::int64_t cmem = rng_.uniform_int(options_.min_mem_bytes,
-                                         options_.max_mem_bytes);
-    cmem = std::max(chunk, (cmem / chunk) * chunk);
-    const bool ticker = rng_.chance(options_.ticker_fraction);
-
-    cluster::VmSpec cvm;
-    cvm.name = "churn" + std::to_string(next_churn_index_);
-    cvm.mem_bytes = cmem;
-    cvm.vcpus = vcpus;
-    cvm.workload = ticker ? ticker_workload() : hungry_workload();
-    cvm.dirty_bytes_per_s =
-        ticker ? ticker_dirty_rate(cmem) : hungry_dirty_rate(cmem);
-    const int vm_id = cluster_->admit(std::move(cvm));
-    if (vm_id < 0) {
-      ++skipped_;
-      return;
-    }
-    ++next_churn_index_;
-    ++arrivals_;
-
-    auto vm = std::make_unique<LiveVm>();
-    vm->domain_id = vm_id;
-    const sim::Time lifetime = exp_delay(options_.mean_lifetime);
-    vm->depart_event =
-        engine().schedule(lifetime, [this, vm_id] { depart(vm_id); });
-    if (rng_.chance(options_.pause_probability)) {
-      const sim::Time at = sim::Time::seconds(
-          rng_.uniform(0.1, 0.5) * options_.mean_lifetime.to_seconds());
-      vm->pause_event =
-          engine().schedule(at, [this, vm_id] { pause_vm(vm_id); });
-    }
-    VPROBE_CLOG(engine().log(), sim::LogLevel::kDebug, "churn",
-                "arrive vm %d on host %d (%d vcpus, %lld MiB), live %zu",
-                vm_id, cluster_->host_of(vm_id), vcpus,
-                static_cast<long long>(cmem >> 20), live_.size() + 1);
-    live_.push_back(std::move(vm));
-    return;
-  }
-
-  const std::int64_t chunk = hv_->config().machine.chunk_bytes;
   std::int64_t mem = rng_.uniform_int(options_.min_mem_bytes,
                                       options_.max_mem_bytes);
-  mem = std::max(chunk, (mem / chunk) * chunk);
+  mem = std::max(chunk_bytes_, (mem / chunk_bytes_) * chunk_bytes_);
+  const bool ticker = rng_.chance(options_.ticker_fraction);
 
-  // Admission control: an eager placement reserves all chunks up front and
-  // the pools must have room machine-wide (fill-first overflows freely).
-  numa::MemoryManager& mm = hv_->memory_manager();
-  std::int64_t free_chunks = 0;
-  for (int n = 0; n < mm.num_nodes(); ++n) free_chunks += mm.free_chunks(n);
-  if (mem / chunk > free_chunks) {
+  cluster::VmSpec cvm;
+  cvm.name = "churn" + std::to_string(next_churn_index_);
+  cvm.mem_bytes = mem;
+  cvm.vcpus = vcpus;
+  cvm.workload = ticker ? ticker_workload() : hungry_workload();
+  cvm.dirty_bytes_per_s =
+      ticker ? ticker_dirty_rate(mem) : hungry_dirty_rate(mem);
+  const int vm_id = cluster_->admit(std::move(cvm));
+  if (vm_id < 0) {
     ++skipped_;
     return;
   }
-
-  const std::string name = "churn" + std::to_string(next_churn_index_++);
-  hv::Domain& dom = hv_->create_domain(name, mem, vcpus,
-                                       numa::PlacementPolicy::kFillFirst);
+  ++next_churn_index_;
   ++arrivals_;
 
   auto vm = std::make_unique<LiveVm>();
-  vm->domain_id = dom.id();
-  const auto vcpu_ptrs = domain_vcpus(dom);
-  if (rng_.chance(options_.ticker_fraction)) {
-    vm->ticks = std::make_unique<wl::GuestOsTicks>(
-        *hv_, dom, std::span<hv::Vcpu* const>(vcpu_ptrs));
-    vm->ticks->start();
-  } else {
-    vm->hungry = std::make_unique<wl::HungryLoops>(
-        *hv_, dom, std::span<hv::Vcpu* const>(vcpu_ptrs));
-    vm->hungry->start();
-  }
-
+  vm->vm_id = vm_id;
   const sim::Time lifetime = exp_delay(options_.mean_lifetime);
-  const int id = vm->domain_id;
   vm->depart_event =
-      hv_->engine().schedule(lifetime, [this, id] { depart(id); });
+      engine().schedule(lifetime, [this, vm_id] { depart(vm_id); });
   if (rng_.chance(options_.pause_probability)) {
     // Pause somewhere in the first half of the expected life, so the VM
     // usually gets to resume before its departure fires.
     const sim::Time at = sim::Time::seconds(
         rng_.uniform(0.1, 0.5) * options_.mean_lifetime.to_seconds());
     vm->pause_event =
-        hv_->engine().schedule(at, [this, id] { pause_vm(id); });
+        engine().schedule(at, [this, vm_id] { pause_vm(vm_id); });
   }
-  VPROBE_CLOG(hv_->engine().log(), sim::LogLevel::kDebug, "churn",
-              "arrive %s (dom %d, %d vcpus, %lld MiB), live %zu", name.c_str(),
-              id, vcpus, static_cast<long long>(mem >> 20), live_.size() + 1);
+  VPROBE_CLOG(engine().log(), sim::LogLevel::kDebug, "churn",
+              "arrive vm %d on host %d (%d vcpus, %lld MiB), live %zu",
+              vm_id, cluster_->host_of(vm_id), vcpus,
+              static_cast<long long>(mem >> 20), live_.size() + 1);
   live_.push_back(std::move(vm));
 }
 
-ChurnDriver::LiveVm* ChurnDriver::find_live(int domain_id) {
+ChurnDriver::LiveVm* ChurnDriver::find_live(int vm_id) {
   for (auto& vm : live_) {
-    if (vm->domain_id == domain_id) return vm.get();
+    if (vm->vm_id == vm_id) return vm.get();
   }
   return nullptr;
 }
 
-void ChurnDriver::depart(int domain_id) {
-  if (cluster_ != nullptr) {
-    LiveVm* vm = find_live(domain_id);
-    if (vm == nullptr) return;
-    vm->pause_event.cancel();
-    vm->resume_event.cancel();
-    cluster_->destroy(domain_id);
-    ++departures_;
-    live_.erase(std::find_if(live_.begin(), live_.end(),
-                             [&](const auto& p) { return p.get() == vm; }));
-    return;
-  }
-  LiveVm* vm = find_live(domain_id);
-  hv::Domain* dom = hv_->find_domain(domain_id);
-  if (vm == nullptr || dom == nullptr) return;
-  // Clean guest shutdown first (threads retire instead of re-arming), then
-  // the hypervisor-side teardown kills whatever is still blocked/paused.
-  if (vm->hungry) vm->hungry->stop();
-  if (vm->ticks) vm->ticks->stop();
+void ChurnDriver::depart(int vm_id) {
+  LiveVm* vm = find_live(vm_id);
+  if (vm == nullptr) return;
   vm->pause_event.cancel();
   vm->resume_event.cancel();
-  hv_->destroy_domain(*dom);
+  // The control plane stops the guest cleanly (threads retire instead of
+  // re-arming), then tears the domain down.
+  cluster_->destroy(vm_id);
   ++departures_;
-  VPROBE_CLOG(hv_->engine().log(), sim::LogLevel::kDebug, "churn",
-              "depart dom %d, live %zu", domain_id, live_.size() - 1);
+  VPROBE_CLOG(engine().log(), sim::LogLevel::kDebug, "churn",
+              "depart vm %d, live %zu", vm_id, live_.size() - 1);
   live_.erase(std::find_if(live_.begin(), live_.end(),
                            [&](const auto& p) { return p.get() == vm; }));
 }
 
-void ChurnDriver::pause_vm(int domain_id) {
-  LiveVm* vm = find_live(domain_id);
+void ChurnDriver::pause_vm(int vm_id) {
+  LiveVm* vm = find_live(vm_id);
   if (vm == nullptr || vm->paused) return;
-  if (cluster_ != nullptr) {
-    // The control plane refuses to pause a VM mid-migration; in that case
-    // the pause is simply dropped (the VM keeps running).
-    if (!cluster_->pause(domain_id)) return;
-  } else {
-    hv::Domain* dom = hv_->find_domain(domain_id);
-    if (dom == nullptr) return;
-    hv_->pause_domain(*dom);
-  }
+  // The control plane refuses to pause a VM mid-migration; in that case
+  // the pause is simply dropped (the VM keeps running).
+  if (!cluster_->pause(vm_id)) return;
   vm->paused = true;
   ++pauses_;
-  const int id = domain_id;
   vm->resume_event = engine().schedule(exp_delay(options_.mean_pause),
-                                       [this, id] { resume_vm(id); });
+                                       [this, vm_id] { resume_vm(vm_id); });
 }
 
-void ChurnDriver::resume_vm(int domain_id) {
-  LiveVm* vm = find_live(domain_id);
+void ChurnDriver::resume_vm(int vm_id) {
+  LiveVm* vm = find_live(vm_id);
   if (vm == nullptr || !vm->paused) return;
-  if (cluster_ != nullptr) {
-    if (!cluster_->resume(domain_id)) return;
-  } else {
-    hv::Domain* dom = hv_->find_domain(domain_id);
-    if (dom == nullptr) return;
-    hv_->resume_domain(*dom);
-  }
+  if (!cluster_->resume(vm_id)) return;
   vm->paused = false;
   ++resumes_;
 }
@@ -250,7 +150,7 @@ void ChurnDriver::resume_vm(int domain_id) {
 void ChurnDriver::drain() {
   draining_ = true;
   arrival_event_.cancel();
-  while (!live_.empty()) depart(live_.back()->domain_id);
+  while (!live_.empty()) depart(live_.back()->vm_id);
 }
 
 }  // namespace vprobe::runner

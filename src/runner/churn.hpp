@@ -1,9 +1,10 @@
 // Declarative VM churn: a seeded arrival/departure process layered on top
-// of a running hypervisor, so scenarios and benches can express *dynamic*
+// of a running cluster, so scenarios and benches can express *dynamic*
 // consolidation workloads (VMs booting, pausing, resuming and being torn
-// down mid-experiment) instead of the static Section V-A sets.
+// down mid-experiment) instead of the static Section V-A sets.  A single
+// machine churns as a cluster of one.
 //
-// The driver owns its own Rng stream (never the hypervisor's), so adding
+// The driver owns its own Rng stream (never a hypervisor's), so adding
 // churn to a scenario does not perturb the random decisions of a static
 // run at the same seed — the golden traces of static scenarios stay
 // byte-identical.  All decisions are reproducible from ChurnOptions::seed.
@@ -13,10 +14,8 @@
 #include <memory>
 #include <vector>
 
-#include "hv/hypervisor.hpp"
+#include "sim/engine.hpp"
 #include "sim/rng.hpp"
-#include "workload/hungry.hpp"
-#include "workload/os_ticker.hpp"
 
 namespace vprobe::cluster {
 class Cluster;
@@ -50,29 +49,25 @@ struct ChurnOptions {
   double ticker_fraction = 0.5;
 };
 
-/// Drives create_domain/pause/resume/destroy_domain against `hv` from
-/// seeded arrival, lifetime and pause processes.  Construct after the
-/// hypervisor (so it is destroyed first) and call start() once; the driver
-/// cancels its pending events on destruction.
+/// Drives admit/pause/resume/destroy against the cluster control plane
+/// from seeded arrival, lifetime and pause processes.  The admission filter
+/// and placement pick each arrival's host (a refusal counts as skipped()),
+/// and churn guests are rebindable, so the balancer may live-migrate them.
+/// Construct after the cluster (so it is destroyed first) and call start()
+/// once; the driver cancels its pending events on destruction.
 class ChurnDriver {
  public:
-  ChurnDriver(hv::Hypervisor& hv, ChurnOptions options);
-  /// Fleet mode: arrivals go through the cluster control plane (admission
-  /// filter + placement pick the host; rejections count as skipped()), and
-  /// churn guests are rebindable so the balancer may live-migrate them.
-  /// The single-machine constructor's draw order is untouched, so existing
-  /// churn golden digests hold.
   ChurnDriver(cluster::Cluster& cluster, ChurnOptions options);
   ~ChurnDriver();
   ChurnDriver(const ChurnDriver&) = delete;
   ChurnDriver& operator=(const ChurnDriver&) = delete;
 
-  /// Arm the arrival process.  The hypervisor should already be start()ed.
+  /// Arm the arrival process.  The cluster should already be start()ed.
   void start();
 
   /// Tear down every churn VM still live and stop generating arrivals.
   /// Safe to call repeatedly; the destructor does NOT call this (a bench
-  /// may want the final live set to survive until the hypervisor dies).
+  /// may want the final live set to survive until the cluster dies).
   void drain();
 
   const ChurnOptions& options() const { return options_; }
@@ -84,13 +79,11 @@ class ChurnDriver {
   std::uint64_t skipped() const { return skipped_; }
 
  private:
-  /// One churn VM currently alive.  Tracked by domain id (cluster mode:
-  /// the cluster-wide VM id), never by Domain* or position — the
-  /// hypervisor's domain list shifts under churn.
+  /// One churn VM currently alive, tracked by its cluster-wide VM id —
+  /// never by Domain* or position: domain lists shift under churn, and a
+  /// migration moves the domain to another host.
   struct LiveVm {
-    int domain_id = 0;
-    std::unique_ptr<wl::HungryLoops> hungry;
-    std::unique_ptr<wl::GuestOsTicks> ticks;
+    int vm_id = 0;
     sim::EventHandle depart_event;
     sim::EventHandle pause_event;
     sim::EventHandle resume_event;
@@ -99,16 +92,18 @@ class ChurnDriver {
 
   void schedule_next_arrival();
   void on_arrival();
-  void depart(int domain_id);
-  void pause_vm(int domain_id);
-  void resume_vm(int domain_id);
-  LiveVm* find_live(int domain_id);
+  void depart(int vm_id);
+  void pause_vm(int vm_id);
+  void resume_vm(int vm_id);
+  LiveVm* find_live(int vm_id);
   sim::Time exp_delay(sim::Time mean);
   sim::Engine& engine();
 
-  hv::Hypervisor* hv_;                    ///< single-machine mode
-  cluster::Cluster* cluster_ = nullptr;   ///< fleet mode
+  cluster::Cluster* cluster_;
   ChurnOptions options_;
+  /// The coarsest chunk size in the fleet: drawn sizes round to it, so a
+  /// churn VM is chunk-aligned on every candidate host.
+  std::int64_t chunk_bytes_ = 1;
   sim::Rng rng_;
   std::vector<std::unique_ptr<LiveVm>> live_;
   sim::EventHandle arrival_event_;

@@ -236,6 +236,21 @@ ScenarioSpec parse_scenario(std::string_view text) {
           spec.churn.mean_lifetime <= sim::Time::zero()) {
         throw err(line_no, "churn interarrival/lifetime must be positive");
       }
+      const ChurnOptions& c = spec.churn;
+      if (c.start_after < sim::Time::zero() || c.mean_pause < sim::Time::zero()) {
+        throw err(line_no, "churn start/pause must not be negative");
+      }
+      if (!(c.pause_probability >= 0.0 && c.pause_probability <= 1.0) ||
+          !(c.ticker_fraction >= 0.0 && c.ticker_fraction <= 1.0)) {
+        throw err(line_no, "churn pause_prob/tickers must lie in [0, 1]");
+      }
+      if (c.max_live < 1) throw err(line_no, "churn needs max_live >= 1");
+      if (c.min_vcpus < 1 || c.max_vcpus < c.min_vcpus) {
+        throw err(line_no, "churn needs 1 <= vcpus_min <= vcpus_max");
+      }
+      if (c.min_mem_bytes <= 0 || c.max_mem_bytes < c.min_mem_bytes) {
+        throw err(line_no, "churn needs 0 < mem_min <= mem_max");
+      }
     } else if (head == "openloop") {
       if (spec.openloop_enabled) throw err(line_no, "duplicate openloop directive");
       spec.openloop_enabled = true;
@@ -639,17 +654,13 @@ stats::RunMetrics run_scenario(const ScenarioSpec& spec) {
         });
   }
 
-  // Dynamic background churn: through the control plane in a fleet, but
-  // straight onto the one hypervisor of a single machine — fleet mode
-  // draws the guest flavour before its admission check, so the two draw
-  // orders part ways whenever an arrival is refused.
+  // Dynamic background churn, through the control plane: the admission
+  // filter places or refuses every arrival, a single machine included.
   std::unique_ptr<ChurnDriver> churn;
   if (spec.churn_enabled) {
     ChurnOptions copts = spec.churn;
     if (copts.seed == 0) copts.seed = spec.seed;
-    churn = spec.cluster_mode()
-                ? std::make_unique<ChurnDriver>(fleet, copts)
-                : std::make_unique<ChurnDriver>(fleet.host(0), copts);
+    churn = std::make_unique<ChurnDriver>(fleet, copts);
     churn->start();
   }
 

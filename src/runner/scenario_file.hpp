@@ -33,13 +33,13 @@
 // A `machine` spec runs as a cluster of one: the same run path, with one
 // host on the control engine (child_seed(seed, 0) == seed).  What a single
 // machine means stays as data: every app starts in its own staggered slot
-// (no VM is movable), churn goes straight to the hypervisor (hypervisor-
-// mode ChurnDriver), the metrics carry no `hosts` entries (so the host
+// (no VM is movable), the metrics carry no `hosts` entries (so the host
 // records no trace; nothing would report it), and a run with nothing to
-// measure is an error unless it serves open-loop traffic.  Its
-// VMs pass the fleet admission filter too, so a VM that does not fit the
-// machine, or one beyond 8x VCPU overcommit, is refused with
-// std::invalid_argument naming the VM.
+// measure is an error unless it serves open-loop traffic.  Its VMs and its
+// churn arrivals pass the fleet admission filter too: a declared VM that
+// does not fit the machine, or one beyond 8x VCPU overcommit, is refused
+// with std::invalid_argument naming the VM, and a refused churn arrival
+// is skipped exactly as in a fleet.
 //
 // Open-loop serving (docs/SERVING.md): `kind=kv` apps build RequestServers
 // and the `openloop`/`slo` directives drive and judge them:

@@ -177,30 +177,58 @@ TEST(ClusterOfOne, TraceDigestMatchesSingleMachinePath) {
 TEST(ClusterOfOne, ScenarioMetricsMatchSingleMachinePath) {
   // `machine xeon_e5620` (a cluster of one in the single-machine output
   // shape) and `machines xeon_e5620` (a one-host fleet) must measure the
-  // same run; only the per-host breakdown differs.
-  const std::string body = R"(scheduler credit
+  // same run; only the per-host breakdown differs.  The second body churns
+  // a nearly full machine, so the admission filter refuses arrivals: both
+  // shapes must draw and refuse them identically.
+  struct Input {
+    const char* what;
+    std::string body;
+    bool refuses;
+  };
+  const Input inputs[] = {
+      {"static", R"(scheduler credit
 seed 3
 scale 0.05
 horizon 120
 
 vm name=only mem=2G vcpus=2
 app vm=only kind=spec profile=soplex count=2 measure=1
-)";
-  const auto single = runner::run_scenario(
-      runner::parse_scenario("machine xeon_e5620\n" + body));
-  const auto fleet = runner::run_scenario(
-      runner::parse_scenario("machines xeon_e5620\n" + body));
+)",
+       false},
+      {"refusing churn", R"(scheduler credit
+seed 5
+scale 0.05
+horizon 120
 
-  ASSERT_TRUE(single.completed);
-  ASSERT_TRUE(fleet.completed);
-  EXPECT_EQ(fleet.app_runtime_s, single.app_runtime_s);
-  EXPECT_EQ(fleet.migrations, single.migrations);
-  EXPECT_EQ(fleet.cross_node_migrations, single.cross_node_migrations);
-  EXPECT_EQ(fleet.total_mem_accesses, single.total_mem_accesses);
-  EXPECT_EQ(fleet.remote_mem_accesses, single.remote_mem_accesses);
-  EXPECT_FALSE(single.is_cluster_run());
-  ASSERT_EQ(fleet.hosts.size(), 1u);
-  EXPECT_GT(fleet.hosts[0].trace_records, 0u);
+vm name=big mem=20G vcpus=4
+app vm=big kind=spec profile=soplex count=4 measure=1
+churn interarrival=0.02 lifetime=0.3 max_live=8 mem_min=1G mem_max=3G
+)",
+       true},
+  };
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(in.what);
+    const auto single = runner::run_scenario(
+        runner::parse_scenario("machine xeon_e5620\n" + in.body));
+    const auto fleet = runner::run_scenario(
+        runner::parse_scenario("machines xeon_e5620\n" + in.body));
+
+    ASSERT_TRUE(single.completed);
+    ASSERT_TRUE(fleet.completed);
+    if (in.refuses) {
+      EXPECT_GT(fleet.cluster.rejected, 0u);
+    }
+    EXPECT_EQ(fleet.app_runtime_s, single.app_runtime_s);
+    EXPECT_EQ(fleet.migrations, single.migrations);
+    EXPECT_EQ(fleet.cross_node_migrations, single.cross_node_migrations);
+    EXPECT_EQ(fleet.total_mem_accesses, single.total_mem_accesses);
+    EXPECT_EQ(fleet.remote_mem_accesses, single.remote_mem_accesses);
+    EXPECT_EQ(fleet.cluster.admitted, single.cluster.admitted);
+    EXPECT_EQ(fleet.cluster.rejected, single.cluster.rejected);
+    EXPECT_FALSE(single.is_cluster_run());
+    ASSERT_EQ(fleet.hosts.size(), 1u);
+    EXPECT_GT(fleet.hosts[0].trace_records, 0u);
+  }
 }
 
 // -- Host-construction-order invariance ----------------------------------------

@@ -153,7 +153,7 @@ TEST(GoldenTrace, ChurnScenarioMatchesCheckedInDigest) {
   copts.pause_probability = 0.4;
   copts.mean_pause = sim::Time::ms(15);
   copts.max_live = 4;
-  runner::ChurnDriver churn(*sc.hv, copts);
+  runner::ChurnDriver churn(*sc.fleet, copts);
   churn.start();
   test::run_mini(sc);
   churn.drain();

@@ -528,7 +528,7 @@ DigestResult run_churning(runner::SchedKind kind, std::uint64_t seed,
   copts.pause_probability = 0.35;
   copts.mean_pause = sim::Time::ms(15);
   copts.max_live = 3;
-  runner::ChurnDriver churn(*sc.hv, copts);
+  runner::ChurnDriver churn(*sc.fleet, copts);
   churn.start();
   test::run_mini(sc, sim::Time::ms(250));
   churn.drain();

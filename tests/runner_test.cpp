@@ -358,6 +358,24 @@ TEST(ScenarioFile, RejectsBrokenInput) {
                               "vm name=A mem=1G vcpus=2"),
                std::invalid_argument);
   EXPECT_THROW(parse_scenario("frobnicate"), std::invalid_argument);
+
+  // Out-of-range churn knobs fail loudly on their own line instead of being
+  // clamped by the driver.
+  for (const char* churn : {
+           "churn pause_prob=1.5", "churn pause_prob=-0.1",
+           "churn tickers=2", "churn tickers=-1",
+           "churn max_live=0",
+           "churn vcpus_min=0", "churn vcpus_min=4 vcpus_max=2",
+           "churn mem_min=0", "churn mem_min=2G mem_max=1G",
+           "churn start=-1", "churn pause=-0.01"}) {
+    try {
+      parse_scenario(std::string("machine xeon_e5620\n") + churn + "\n");
+      ADD_FAILURE() << "accepted: " << churn;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << churn << ": " << e.what();
+    }
+  }
 }
 
 TEST(ScenarioFile, ErrorsCarryLineNumbers) {

@@ -11,13 +11,18 @@
 #include <memory>
 #include <vector>
 
+#include "cluster/cluster.hpp"
+#include "runner/fleet.hpp"
 #include "runner/scenario.hpp"
 #include "test_helpers.hpp"
 
 namespace vprobe::test {
 
+/// A cluster of one: the machine is the fleet's only host, so a churn
+/// driver can act on it through the control plane like on any fleet.
 struct MiniScenario {
-  std::unique_ptr<hv::Hypervisor> hv;
+  std::unique_ptr<cluster::Cluster> fleet;
+  hv::Hypervisor* hv = nullptr;  ///< &fleet->host(0)
   hv::Domain* vm1 = nullptr;
   hv::Domain* vm2 = nullptr;
   /// One FakeWork per VCPU, bound in (vm1, vm2) × index order.
@@ -28,16 +33,30 @@ struct MiniScenario {
 /// paper's 8-PCPU machine — oversubscribed 1.5×, so run queues are never
 /// trivially empty.  The options overload lets differential tests flip
 /// scheduler-independent knobs (e.g. `rate_cache`) on the same scenario.
+/// The host's own tracer is detached; tests attach theirs to `hv`.
 inline MiniScenario make_mini_scenario(runner::SchedKind kind,
                                        std::uint64_t seed,
                                        const runner::SchedulerOptions& opts) {
   MiniScenario sc;
-  sc.hv = runner::make_hypervisor(kind, seed, opts);
+  cluster::Config ccfg;
+  ccfg.seed = seed;  // child_seed(seed, 0) == seed: host 0 runs on `seed`
+  ccfg.trace_capacity = 1;
+  ccfg.host_template.rate_cache = opts.rate_cache;
+  const std::vector<cluster::HostSpec> hosts(1);
+  sc.fleet = std::make_unique<cluster::Cluster>(
+      ccfg, hosts, runner::scheduler_factory(kind, opts));
+  sc.hv = &sc.fleet->host(0);
+  sc.hv->set_tracer(nullptr);
 
-  sc.vm1 = &sc.hv->create_domain("VM1", 2 * kTestGB, 6,
-                                 numa::PlacementPolicy::kFillFirst);
-  sc.vm2 = &sc.hv->create_domain("VM2", 2 * kTestGB, 6,
-                                 numa::PlacementPolicy::kFillFirst);
+  const auto admit = [&](const char* name) {
+    cluster::VmSpec vm;
+    vm.name = name;
+    vm.mem_bytes = 2 * kTestGB;
+    vm.vcpus = 6;
+    return sc.fleet->domain_of(sc.fleet->admit(std::move(vm)));
+  };
+  sc.vm1 = admit("VM1");
+  sc.vm2 = admit("VM2");
 
   int i = 0;
   for (hv::Domain* dom : {sc.vm1, sc.vm2}) {
