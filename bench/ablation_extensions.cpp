@@ -84,11 +84,11 @@ int main(int argc, char** argv) {
     // seed per variant, like the original hand-rolled loop.
     runner::RunConfig cfg = flags.config;
     cfg.repeats = 1;
-    plan.add(runner::RunSpec::custom_job(
+    plan.add(runner::RunSpec{
         cfg, migrate ? "misplaced+migration" : "misplaced",
         [migrate](const runner::RunConfig& c) {
           return misplaced_run(c, migrate);
-        }));
+        }});
   }
   const auto runs = bench::execute_plan(plan, flags);
 

@@ -1,29 +1,28 @@
 // Engine hot-path micro-benchmark: schedule->fire throughput, cancel cost,
-// and periodic-timer chain cost, for the slab/heap engine versus the pre-PR
-// baseline (std::function + shared_ptr state + priority_queue + trampoline
-// periodic timers), which is embedded below so the comparison is always
-// available from one binary.
+// and periodic-timer chain cost of the slab/heap sim::Engine.
 //
 // The global operator new/delete overrides count every heap allocation, which
 // is how the "zero allocations in steady state" claim is enforced: after a
 // warm-up round has sized the slab and the heap vector, whole
-// schedule->fire rounds on the new engine must not allocate.
+// schedule->fire rounds must not allocate.  Every benchmark also checks its
+// fired-event count against the exact total its schedule implies.
 //
 // Usage:
-//   engine_bench            full run, JSON results on stdout (BENCH_engine.json)
+//   engine_bench            full run, JSON results on stdout
 //   engine_bench --smoke    quick CI gate: asserts zero steady-state
-//                           allocations and event-count correctness; exit 1
+//                           allocations and exact fired-event totals; exit 1
 //                           on violation
+//
+// The speedups over the pre-slab engine recorded in BENCH_engine.json are
+// history; to compare against an older engine, A/B the commits with
+// perfsuite/ab.sh REV.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
-#include <memory>
 #include <new>
-#include <queue>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -61,118 +60,9 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
 
 namespace {
 
+using vprobe::sim::Engine;
+using vprobe::sim::EventHandle;
 using vprobe::sim::Time;
-
-// ------------------------------------------------------ pre-PR baseline ----
-// Verbatim shape of the engine before this PR (log/observer plumbing
-// dropped): two allocations per scheduled event, a full Item copy out of
-// priority_queue::top() on every pop, and a shared_ptr trampoline that
-// re-allocates on each periodic re-arm.
-
-namespace legacy {
-
-class Engine;
-
-class EventHandle {
- public:
-  EventHandle() = default;
-  void cancel() {
-    if (state_) state_->cancelled = true;
-  }
-  bool pending() const { return state_ && !state_->cancelled && !state_->fired; }
-
- private:
-  friend class Engine;
-  struct State {
-    bool cancelled = false;
-    bool fired = false;
-  };
-  explicit EventHandle(std::shared_ptr<State> s) : state_(std::move(s)) {}
-  std::shared_ptr<State> state_;
-};
-
-class Engine {
- public:
-  Time now() const { return now_; }
-
-  EventHandle schedule_at(Time when, std::function<void()> fn) {
-    auto state = std::make_shared<EventHandle::State>();
-    queue_.push(Item{when, next_seq_++, std::move(fn), state});
-    return EventHandle{std::move(state)};
-  }
-  EventHandle schedule(Time delay, std::function<void()> fn) {
-    return schedule_at(now_ + delay, std::move(fn));
-  }
-  EventHandle schedule_periodic(Time period, std::function<void()> fn) {
-    auto state = std::make_shared<EventHandle::State>();
-    auto arm = std::make_shared<std::function<void(Time)>>();
-    // The closure refers to itself weakly; the queued item owns it, so the
-    // chain is freed once its last occurrence leaves the queue.
-    *arm = [this, period, fn = std::move(fn), state,
-            self = std::weak_ptr(arm)](Time when) {
-      queue_.push(Item{when, next_seq_++,
-                       [this, period, fn, state, arm = self.lock()] {
-                         fn();
-                         if (!state->cancelled) (*arm)(now_ + period);
-                       },
-                       state});
-    };
-    (*arm)(now_ + period);
-    return EventHandle{std::move(state)};
-  }
-
-  std::size_t run_until(Time deadline) {
-    std::size_t n = 0;
-    while (!queue_.empty()) {
-      if (queue_.top().state->cancelled) {
-        queue_.pop();
-        continue;
-      }
-      if (queue_.top().when > deadline) break;
-      if (pop_one()) ++n;
-    }
-    if (now_ < deadline) now_ = deadline;
-    return n;
-  }
-  std::size_t run() {
-    std::size_t n = 0;
-    while (pop_one()) ++n;
-    return n;
-  }
-
- private:
-  struct Item {
-    Time when;
-    std::uint64_t seq;
-    std::function<void()> fn;
-    std::shared_ptr<EventHandle::State> state;
-  };
-  struct Later {
-    bool operator()(const Item& a, const Item& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
-  bool pop_one() {
-    while (!queue_.empty()) {
-      Item item = queue_.top();  // const top(): must copy before pop
-      queue_.pop();
-      if (item.state->cancelled) continue;
-      now_ = item.when;
-      item.state->fired = true;
-      item.fn();
-      return true;
-    }
-    return false;
-  }
-
-  Time now_ = Time::zero();
-  std::uint64_t next_seq_ = 0;
-  std::priority_queue<Item, std::vector<Item>, Later> queue_;
-};
-
-}  // namespace legacy
 
 // ------------------------------------------------------------- harness ----
 
@@ -189,10 +79,9 @@ struct BenchResult {
 
 // One round schedules `n` one-shot events, each with a 16-byte capture (the
 // size of the hypervisor's `[this, pp]` hot captures), then drains them.
-template <typename EngineT>
 BenchResult bench_schedule_fire(int n, int rounds) {
   BenchResult r;
-  EngineT engine;
+  Engine engine;
   std::uint64_t sum = 0;
   double elapsed = 0.0;
   for (int round = 0; round < rounds; ++round) {
@@ -217,11 +106,10 @@ BenchResult bench_schedule_fire(int n, int rounds) {
 
 // Schedule `n` events, cancel every other one through its handle, drain.
 // Exercises the lazy-deletion pop path and slot recycling under churn.
-template <typename EngineT, typename HandleT>
 BenchResult bench_cancel_churn(int n, int rounds) {
   BenchResult r;
-  EngineT engine;
-  std::vector<HandleT> handles(static_cast<std::size_t>(n));
+  Engine engine;
+  std::vector<EventHandle> handles(static_cast<std::size_t>(n));
   std::uint64_t sum = 0;
   double elapsed = 0.0;
   for (int round = 0; round < rounds; ++round) {
@@ -248,7 +136,6 @@ BenchResult bench_cancel_churn(int n, int rounds) {
 // Eight phase-staggered periodic timers (the hypervisor's tick shape: one
 // per PCPU at 10ms plus accounting at 30ms is the same pattern) firing
 // `fires` times in total.
-template <typename EngineT>
 BenchResult bench_periodic_chain(int timers, int fires_per_timer, int rounds) {
   BenchResult r;
   std::uint64_t count = 0;
@@ -256,7 +143,7 @@ BenchResult bench_periodic_chain(int timers, int fires_per_timer, int rounds) {
   double elapsed = 0.0;
   for (int round = 0; round < rounds; ++round) {
     const bool measured = round > 0;
-    EngineT engine;  // chains never end; fresh engine per round
+    Engine engine;  // chains never end; fresh engine per round
     for (int t = 0; t < timers; ++t) {
       engine.schedule(Time::us(t), [] {});  // stagger: desynchronise seqs
     }
@@ -275,8 +162,8 @@ BenchResult bench_periodic_chain(int timers, int fires_per_timer, int rounds) {
       elapsed += t1 - t0;
       measured_fired += fired;
       // Reported allocations include each round's engine bootstrap (slab
-      // chunk + heap vector); the new engine's re-arms themselves allocate
-      // nothing, which is what the schedule_fire/cancel gates pin down.
+      // chunk + heap vector); the re-arms themselves allocate nothing,
+      // which is what the schedule_fire/cancel gates pin down.
       r.steady_allocs += a1 - a0;
     }
   }
@@ -284,17 +171,34 @@ BenchResult bench_periodic_chain(int timers, int fires_per_timer, int rounds) {
   return r;
 }
 
-void print_result(const char* name, const BenchResult& legacy_r,
-                  const BenchResult& new_r, bool first) {
+// Exact fired totals.  Cancel churn fires the uncancelled odd half.  A
+// periodic chain armed at `armed` with period p fires at armed + k*p,
+// k >= 1, up to and including the deadline.
+std::uint64_t expected_schedule_fire(int n, int rounds) {
+  return static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(rounds);
+}
+std::uint64_t expected_cancel_churn(int n, int rounds) {
+  return static_cast<std::uint64_t>(n / 2) * static_cast<std::uint64_t>(rounds);
+}
+std::uint64_t expected_periodic_chain(int timers, int fires_per_timer, int rounds) {
+  const std::int64_t armed_us = timers - 1;  // the last stagger event
+  const std::int64_t deadline_us = 100ll * fires_per_timer;
+  std::uint64_t per_round = 0;
+  for (int t = 0; t < timers; ++t) {
+    per_round += static_cast<std::uint64_t>((deadline_us - armed_us) / (100 + t));
+  }
+  return per_round * static_cast<std::uint64_t>(rounds);
+}
+
+void print_result(const char* name, const BenchResult& r, std::uint64_t expected,
+                  bool first) {
   std::printf("%s    \"%s\": {\n", first ? "" : ",\n", name);
-  std::printf("      \"legacy_events_per_sec\": %.0f,\n", legacy_r.events_per_sec);
-  std::printf("      \"new_events_per_sec\": %.0f,\n", new_r.events_per_sec);
-  std::printf("      \"speedup\": %.2f,\n",
-              new_r.events_per_sec / legacy_r.events_per_sec);
-  std::printf("      \"legacy_steady_allocs\": %llu,\n",
-              static_cast<unsigned long long>(legacy_r.steady_allocs));
-  std::printf("      \"new_steady_allocs\": %llu\n",
-              static_cast<unsigned long long>(new_r.steady_allocs));
+  std::printf("      \"events_per_sec\": %.0f,\n", r.events_per_sec);
+  std::printf("      \"steady_allocs\": %llu,\n",
+              static_cast<unsigned long long>(r.steady_allocs));
+  std::printf("      \"fired\": %llu,\n", static_cast<unsigned long long>(r.fired));
+  std::printf("      \"expected_fired\": %llu\n",
+              static_cast<unsigned long long>(expected));
   std::printf("    }");
 }
 
@@ -307,51 +211,49 @@ int main(int argc, char** argv) {
   const int timers = 8;
   const int fires = smoke ? 2'000 : 10'000;
 
-  using NewEngine = vprobe::sim::Engine;
-  using NewHandle = vprobe::sim::EventHandle;
-
-  const auto legacy_sf = bench_schedule_fire<legacy::Engine>(n, rounds);
-  const auto new_sf = bench_schedule_fire<NewEngine>(n, rounds);
-  const auto legacy_cc =
-      bench_cancel_churn<legacy::Engine, legacy::EventHandle>(n, rounds);
-  const auto new_cc = bench_cancel_churn<NewEngine, NewHandle>(n, rounds);
-  const auto legacy_pc =
-      bench_periodic_chain<legacy::Engine>(timers, fires, rounds);
-  const auto new_pc = bench_periodic_chain<NewEngine>(timers, fires, rounds);
+  const auto sf = bench_schedule_fire(n, rounds);
+  const auto cc = bench_cancel_churn(n, rounds);
+  const auto pc = bench_periodic_chain(timers, fires, rounds);
+  const std::uint64_t sf_want = expected_schedule_fire(n, rounds);
+  const std::uint64_t cc_want = expected_cancel_churn(n, rounds);
+  const std::uint64_t pc_want = expected_periodic_chain(timers, fires, rounds);
 
   bool ok = true;
-  // Correctness: both engines fire the same event counts.
-  ok &= legacy_sf.fired == new_sf.fired;
-  ok &= legacy_cc.fired == new_cc.fired;
-  ok &= legacy_pc.fired == new_pc.fired;
-  // The tentpole claim: steady-state dispatch performs zero heap allocations.
-  ok &= new_sf.steady_allocs == 0;
-  ok &= new_cc.steady_allocs == 0;
+  // Correctness: every benchmark fires exactly the events it scheduled.
+  ok &= sf.fired == sf_want;
+  ok &= cc.fired == cc_want;
+  ok &= pc.fired == pc_want;
+  // The engine's claim: steady-state dispatch performs zero heap allocations.
+  ok &= sf.steady_allocs == 0;
+  ok &= cc.steady_allocs == 0;
 
   if (smoke) {
-    std::printf("engine_bench --smoke: schedule_fire %.2fx, cancel %.2fx, "
-                "periodic %.2fx; new-engine steady allocs %llu/%llu (want 0/0); "
-                "counts %s\n",
-                new_sf.events_per_sec / legacy_sf.events_per_sec,
-                new_cc.events_per_sec / legacy_cc.events_per_sec,
-                new_pc.events_per_sec / legacy_pc.events_per_sec,
-                static_cast<unsigned long long>(new_sf.steady_allocs),
-                static_cast<unsigned long long>(new_cc.steady_allocs),
-                ok ? "match" : "MISMATCH");
+    std::printf("engine_bench --smoke: schedule_fire %.0f ev/s, cancel %.0f ev/s, "
+                "periodic %.0f ev/s; steady allocs %llu/%llu (want 0/0); "
+                "fired %llu/%llu/%llu (want %llu/%llu/%llu) %s\n",
+                sf.events_per_sec, cc.events_per_sec, pc.events_per_sec,
+                static_cast<unsigned long long>(sf.steady_allocs),
+                static_cast<unsigned long long>(cc.steady_allocs),
+                static_cast<unsigned long long>(sf.fired),
+                static_cast<unsigned long long>(cc.fired),
+                static_cast<unsigned long long>(pc.fired),
+                static_cast<unsigned long long>(sf_want),
+                static_cast<unsigned long long>(cc_want),
+                static_cast<unsigned long long>(pc_want), ok ? "ok" : "MISMATCH");
     return ok ? 0 : 1;
   }
 
   std::printf("{\n");
-  std::printf("  \"benchmark\": \"sim::Engine hot paths, slab/heap engine vs pre-PR baseline (embedded)\",\n");
+  std::printf("  \"benchmark\": \"sim::Engine hot paths (slab/heap engine)\",\n");
   std::printf("  \"config\": {\"events_per_round\": %d, \"rounds\": %d, "
               "\"periodic_timers\": %d, \"fires_per_timer\": %d},\n",
               n, rounds, timers, fires);
   std::printf("  \"results\": {\n");
-  print_result("schedule_fire_16B_capture", legacy_sf, new_sf, true);
-  print_result("schedule_cancel_half_fire", legacy_cc, new_cc, false);
-  print_result("periodic_chain_8_timers", legacy_pc, new_pc, false);
+  print_result("schedule_fire_16B_capture", sf, sf_want, true);
+  print_result("schedule_cancel_half_fire", cc, cc_want, false);
+  print_result("periodic_chain_8_timers", pc, pc_want, false);
   std::printf("\n  },\n");
-  std::printf("  \"correctness\": \"%s\"\n", ok ? "fired-counts-match" : "MISMATCH");
+  std::printf("  \"correctness\": \"%s\"\n", ok ? "fired-counts-exact" : "MISMATCH");
   std::printf("}\n");
   return ok ? 0 : 1;
 }

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> apps;
   for (std::string_view app : wl::figure3_apps()) {
     apps.emplace_back(app);
-    plan.add(runner::RunSpec::custom_job(
+    plan.add(runner::RunSpec{
         flags.config, "solo:" + apps.back(),
         [app = apps.back()](const runner::RunConfig& cfg) {
           const runner::SoloMetrics solo = runner::run_solo(cfg, app);
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
           m.remote_mem_accesses = solo.llc_miss_rate;
           m.completed = true;
           return m;
-        }));
+        }});
   }
   const auto runs = bench::execute_plan(plan, flags);
 

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
     cfg.sched = runner::SchedKind::kVprobe;
     cfg.sampling_period = sim::Time::seconds(period);
     runner::RunSpec spec = runner::RunSpec::spec(cfg, "mix");
-    spec.label += "@" + stats::fmt(period, "%.1fs");
+    spec.label.append("@").append(stats::fmt(period, "%.1fs"));
     plan.add(std::move(spec));
   }
   const auto runs = bench::execute_plan(plan, flags);

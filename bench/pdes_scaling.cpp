@@ -10,16 +10,21 @@
 // unbatched synchronizer loops to the same stream.
 //
 // Weak scaling: hosts == threads, so per-thread work stays constant while
-// the synchronizer's coupling traffic grows with the fleet.  Columns
-// include us/record (the normalized synchronizer cost) and the batched
-// loop's coalescing counters.
+// the synchronizer's coupling traffic grows with the fleet.  Each row also
+// runs the same fleet serially (threads = 1: the shared-engine cost per
+// host, no synchronizer) next to the sharded run.  Columns include
+// us/record (the normalized cost) and the batched loop's coalescing
+// counters; the sharded digest must match the serial one.
 //
 // --smoke gates (exit nonzero on violation):
 //   * serial (threads=1) and sharded (threads=4) runs of the 8-host fleet
 //     produce bit-identical fleet digests and record counts;
 //   * the batch-off (unbatched-window) run reproduces the same digest;
 //   * zero FleetCheck invariant violations on every shard;
-//   * the scripted live migration completes under the synchronizer;
+//   * the scripted live migration completes under the synchronizer after
+//     at least one pre-copy round;
+//   * the control plane admitted more VMs than the 2 per host it started
+//     with, so churn arrivals actually got in;
 //   * a control-heavy fleet (2 ms churn + 50 ms balancer, the
 //     clustered_control regime) actually coalesces: windows_coalesced > 0
 //     and barriers < control events — the batched loop demonstrably pays
@@ -57,6 +62,8 @@ struct PdesResult {
   std::uint64_t events = 0;
   std::uint64_t digest = 0;
   std::uint64_t migrations_completed = 0;
+  std::uint64_t precopy_rounds = 0;
+  std::uint64_t admitted = 0;
   std::uint64_t violations = 0;
   cluster::SyncStats sync;
 
@@ -154,6 +161,8 @@ PdesResult run_fleet(int num_hosts, int sim_threads, std::uint64_t seed,
   }
   out.digest = fleet.fleet_digest();
   out.migrations_completed = fleet.migrations_completed();
+  out.precopy_rounds = fleet.precopy_rounds();
+  out.admitted = fleet.admitted();
   out.violations = check.total_violations();
   out.sync = fleet.sync_stats();
   return out;
@@ -186,6 +195,9 @@ int smoke(std::uint64_t seed) {
        "zero invariant violations on every shard (FleetCheck)");
   gate(sharded.migrations_completed >= 1,
        "scripted live migration completed under the synchronizer");
+  gate(sharded.precopy_rounds >= 1, "migration ran pre-copy rounds");
+  gate(serial.admitted > 2 * static_cast<std::uint64_t>(serial.hosts),
+       "control plane admitted churn VMs beyond the resident fleet");
   gate(sharded.digest == serial.digest && sharded.records == serial.records,
        "--sim-threads 4 is bit-identical to --sim-threads 1 (fleet digest)");
   gate(unbatched.digest == serial.digest && unbatched.records == serial.records,
@@ -199,10 +211,12 @@ int smoke(std::uint64_t seed) {
        "control-heavy fleet pays fewer barriers than control events");
   gate(serial.events_per_record() <= kMaxEventsPerRecord,
        "one engine event per wake-up tickle (events/record under the bound)");
-  std::printf("  serial fleet: %llu engine events for %llu records (%.2f/record)\n",
+  std::printf("  serial fleet: %llu engine events for %llu records (%.2f/record),"
+              " %llu VMs admitted\n",
               static_cast<unsigned long long>(serial.events),
               static_cast<unsigned long long>(serial.records),
-              serial.events_per_record());
+              serial.events_per_record(),
+              static_cast<unsigned long long>(serial.admitted));
   std::printf("smoke: %s (digest %s, %llu records, serial %.1f ms,"
               " sharded %.1f ms; dense fleet: %llu/%llu windows coalesced,"
               " %llu barriers for %llu control events)\n",
@@ -273,16 +287,22 @@ int main(int argc, char** argv) {
   std::printf("\n=============================================================\n");
   std::printf("PDES weak scaling (hosts == threads, 2 VMs/host + churn)\n");
   std::printf("=============================================================\n\n");
-  stats::Table weak({"hosts=threads", "wall (ms)", "records", "us/record",
-                     "coalesced", "barriers", "skips"});
+  stats::Table weak({"hosts=threads", "serial ms", "serial us/rec",
+                     "wall (ms)", "records", "us/record", "coalesced",
+                     "barriers", "skips", "digest"});
   for (int n = 1; n <= max_threads; n *= 2) {
+    const PdesResult serial = run_fleet(n, 1, seed, horizon);
     const PdesResult r = run_fleet(n, n, seed, horizon);
-    weak.add_row({std::to_string(n), stats::fmt(r.wall_ms, "%.1f"),
-                  std::to_string(r.records),
+    const bool same = r.digest == serial.digest && r.records == serial.records;
+    all_identical = all_identical && same;
+    weak.add_row({std::to_string(n), stats::fmt(serial.wall_ms, "%.1f"),
+                  stats::fmt(serial.us_per_record(), "%.2f"),
+                  stats::fmt(r.wall_ms, "%.1f"), std::to_string(r.records),
                   stats::fmt(r.us_per_record(), "%.2f"),
                   std::to_string(r.sync.windows_coalesced),
                   std::to_string(r.sync.barriers),
-                  std::to_string(r.sync.shard_skips)});
+                  std::to_string(r.sync.shard_skips),
+                  same ? trace::digest_hex(r.digest) : "DIVERGED"});
   }
   weak.print();
 
@@ -291,7 +311,7 @@ int main(int argc, char** argv) {
                          " digest — see docs/PDES.md\n");
     return 1;
   }
-  std::printf("\nevery sharded row reproduced the serial digest %s\n",
+  std::printf("\nevery sharded row reproduced its serial digest (8 hosts: %s)\n",
               trace::digest_hex(base.digest).c_str());
   return 0;
 }

@@ -99,12 +99,12 @@ int main(int argc, char** argv) {
   runner::RunPlan plan;
   for (const auto& [label, machine] : machines) {
     for (runner::SchedKind kind : kinds) {
-      plan.add(runner::RunSpec::custom_job(
+      plan.add(runner::RunSpec{
           flags.config,
           std::string(label) + "/" + runner::to_string(kind),
           [machine, kind](const runner::RunConfig& cfg) {
             return run(machine, kind, cfg);
-          }));
+          }});
     }
   }
   const auto runs = bench::execute_plan(plan, flags);

@@ -26,11 +26,10 @@
 // saturating rate, lazy vs eager, reporting events/request and wall clock.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "runner/cli.hpp"
 #include "runner/scenario.hpp"
 #include "runner/scenario_file.hpp"
 #include "stats/metrics.hpp"
@@ -214,17 +213,19 @@ int run_hot_path(double rps, double horizon) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  double rps = 0.0;
-  double horizon = 0.12;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) return run_smoke();
-    if (std::strcmp(argv[i], "--rps") == 0 && i + 1 < argc) {
-      rps = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--horizon") == 0 && i + 1 < argc) {
-      horizon = std::atof(argv[++i]);
-    }
+  const runner::Cli cli(argc, argv);
+  if (runner::maybe_print_help(
+          cli, "Tail-latency serving: spike_fleet across all schedulers",
+          "  --smoke             gate run: calm prefix, spike violations,\n"
+          "                      sharded and lazy-vs-eager bit-identity\n"
+          "  --rps R             bench the arrival hot path at R rps,\n"
+          "                      lazy vs eager delivery\n"
+          "  --horizon S         simulated seconds for --rps (default 0.12)\n")) {
+    return 0;
   }
-  if (rps > 0.0) return run_hot_path(rps, horizon);
+  if (cli.has("smoke")) return run_smoke();
+  const double rps = cli.get_double("rps", 0.0);
+  if (rps > 0.0) return run_hot_path(rps, cli.get_double("horizon", 0.12));
 
   std::printf("Tail-latency serving: spike_fleet across all schedulers\n");
   std::printf(

@@ -95,25 +95,24 @@ int main(int argc, char** argv) {
   if (cli.has("slo-ms")) {
     spec.slo_ms = cli.get_double("slo-ms", spec.slo_ms);
   }
+  // Bit-identical engine choices: PDES shards, batched windows, lazy
+  // open-loop arrival delivery.
+  spec.sim_threads = cli.get_int("sim-threads", 1);
+  spec.window_batch = !cli.has("no-window-batch");
+  spec.lazy_arrivals = !cli.has("no-lazy-arrivals");
 
-  // One custom job: the executor expands --repeats into per-seed runs
+  // One job: the executor expands --repeats into per-seed runs
   // (offsetting the scenario's base seed) and averages the results.
   runner::RunConfig cfg;
   cfg.seed = spec.seed;
   cfg.repeats = cli.get_int("repeats", 1);
-  cfg.sim_threads = cli.get_int("sim-threads", 1);
-  cfg.window_batch = !cli.has("no-window-batch");
-  cfg.lazy_arrivals = !cli.has("no-lazy-arrivals");
   runner::RunPlan plan;
-  plan.add(runner::RunSpec::custom_job(
+  plan.add(runner::RunSpec{
       cfg, "scenario", [&spec](const runner::RunConfig& c) {
         runner::ScenarioSpec seeded = spec;
         seeded.seed = c.seed;
-        seeded.sim_threads = c.sim_threads;
-        seeded.window_batch = c.window_batch;
-        seeded.lazy_arrivals = c.lazy_arrivals;
         return runner::run_scenario(seeded);
-      }));
+      }});
   runner::ExecutorOptions opts;
   opts.jobs = cli.get_int("jobs", 1);
   opts.progress = opts.jobs != 1;

@@ -7,8 +7,8 @@ cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
 
 # The default test preset runs every registered ctest: all labelled suites
-# and the bench --smoke gates (engine, costmodel, scaling_machines,
-# pdes_scaling, serving, churn_consolidation) included.
+# and the bench --smoke gates (engine, costmodel, pdes_scaling, serving,
+# churn_consolidation) included.
 echo "== default preset: build + full test suite =="
 cmake --preset default
 cmake --build --preset default -j "$JOBS"

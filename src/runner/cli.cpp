@@ -18,8 +18,12 @@ constexpr const char* kValueKeys[] = {
     "jobs",   "repeats", "seed",     "scale", "instr-scale",
     "sched",  "json",    "period",   "ops",   "requests",
     "sim-threads", "rps", "slo-ms",  "hosts-csv", "horizon",
-    "max-threads", "max-hosts",
+    "max-threads",
 };
+
+/// The value a bare "--flag" stores.  (A std::string rather than a literal:
+/// assigning the literal trips a GCC 12 -Wrestrict false positive.)
+const std::string kBareFlag = "1";
 
 bool takes_value(const std::string& key) {
   for (const char* k : kValueKeys) {
@@ -58,10 +62,10 @@ Cli::Cli(int argc, char** argv) {
           std::strncmp(argv[i + 1], "--", 2) != 0) {
         options_[key] = argv[++i];
       } else {
-        options_[key] = "1";
+        options_[key] = kBareFlag;
       }
     } else if (arg == "-h") {
-      options_["help"] = "1";
+      options_["help"] = kBareFlag;
     } else {
       positional_.push_back(arg);
     }
@@ -129,11 +133,8 @@ BenchFlags parse_bench_flags(const Cli& cli, double default_scale) {
   flags.config.repeats = cli.get_int("repeats", 3);
   flags.config.sampling_period = sim::Time::seconds(cli.get_double("period", 1.0));
   flags.jobs = cli.get_int("jobs", 1);
-  flags.config.sim_threads = cli.get_int("sim-threads", 1);
   flags.config.checks = cli.has("checks");
   flags.config.rate_cache = !cli.has("no-rate-cache");
-  flags.config.window_batch = !cli.has("no-window-batch");
-  flags.config.lazy_arrivals = !cli.has("no-lazy-arrivals");
   if (cli.has("json")) {
     const std::string path = cli.get("json", "-");
     flags.json_path = (path == "1") ? "-" : path;
@@ -161,10 +162,6 @@ bool maybe_print_help(const Cli& cli, const char* summary, const char* extra) {
       "Standard options (all accept --key=value or --key value):\n"
       "  --jobs N         run N simulations concurrently (0 = all host cores;\n"
       "                   results are bit-identical to --jobs 1)\n"
-      "  --sim-threads N  engine shards inside one cluster run (0 = all host\n"
-      "                   cores): hosts advance on N worker threads under the\n"
-      "                   conservative-lookahead synchronizer, bit-identical\n"
-      "                   to --sim-threads 1; single-machine runs ignore it\n"
       "  --repeats N      average every experiment over N seeds (default 3)\n"
       "  --seed S         base RNG seed (default 1)\n"
       "  --instr-scale X  scale app instruction budgets; 1.0 = paper-scale\n"
@@ -178,14 +175,6 @@ bool maybe_print_help(const Cli& cli, const char* summary, const char* extra) {
       "  --no-rate-cache  disable the cost-model memoization (results are\n"
       "                   bit-identical either way; this is the escape hatch\n"
       "                   differential tests use to prove it)\n"
-      "  --no-window-batch  disable batched PDES windows in sharded cluster\n"
-      "                   runs: every control event pays a full all-shard\n"
-      "                   barrier again (bit-identical either way; the\n"
-      "                   escape hatch the pdes differential sweep uses)\n"
-      "  --no-lazy-arrivals  deliver open-loop arrivals one engine event\n"
-      "                   per request instead of pre-drawn lazy blocks\n"
-      "                   (bit-identical either way; the escape hatch the\n"
-      "                   serving identity tests use, docs/SERVING.md)\n"
       "  --help           this text\n");
   if (extra != nullptr && *extra != '\0') {
     std::printf("\n%s\n", extra);

@@ -32,21 +32,6 @@ struct RunConfig {
   /// throw if any invariant is violated.  Hook-level checking needs a
   /// VPROBE_CHECKS build; other builds still get the final full sweep.
   bool checks = false;
-  /// Engine shards inside one cluster run (--sim-threads): 1 = serial
-  /// reference path; N > 1 runs host shards on worker threads under the
-  /// PDES synchronizer, bit-identical to 1 (docs/PDES.md).  Single-machine
-  /// experiments ignore this — their one event stream has nothing to
-  /// shard.
-  int sim_threads = 1;
-  /// Batched demand-driven PDES windows (--no-window-batch clears it):
-  /// coalesce control events and dispatch only busy shards.  Bit-identical
-  /// either way (docs/PDES.md); serial runs ignore it.
-  bool window_batch = true;
-  /// Lazy open-loop arrival delivery (--no-lazy-arrivals clears it):
-  /// pre-draw arrival blocks and deliver them at coupling points instead
-  /// of one engine event per request.  Bit-identical either way
-  /// (docs/SERVING.md); runs without an open-loop client ignore it.
-  bool lazy_arrivals = true;
 };
 
 /// SPEC CPU2006 workload (Figure 4): VM1 and VM2 run identical instance

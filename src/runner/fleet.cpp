@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "workload/hungry.hpp"
@@ -11,46 +12,54 @@
 namespace vprobe::runner {
 namespace {
 
-class HungryWorkload final : public cluster::Workload {
+class BackgroundWorkload final : public cluster::Workload {
  public:
-  HungryWorkload(hv::Hypervisor& hv, hv::Domain& dom) {
+  BackgroundWorkload(hv::Hypervisor& hv, hv::Domain& dom,
+                     const std::vector<BackgroundApp>& apps) {
     const auto vcpus = domain_vcpus(dom);
-    app_ = std::make_unique<wl::HungryLoops>(
-        hv, dom, std::span<hv::Vcpu* const>(vcpus));
+    for (const BackgroundApp& app : apps) {
+      const auto from = static_cast<std::size_t>(app.from);
+      if (from >= vcpus.size()) {
+        throw std::invalid_argument("app 'from' beyond vm '" + dom.name() + "' vcpus");
+      }
+      const std::span<hv::Vcpu* const> subset(vcpus.begin() + static_cast<std::ptrdiff_t>(from),
+                                              vcpus.end());
+      if (app.hungry) {
+        hogs_.push_back(std::make_unique<wl::HungryLoops>(hv, dom, subset));
+      } else {
+        ticks_.push_back(std::make_unique<wl::GuestOsTicks>(hv, dom, subset));
+      }
+    }
   }
-  void start() override { app_->start(); }
-  void stop() override { app_->stop(); }
+
+  void start() override {
+    for (auto& h : hogs_) h->start();
+    for (auto& t : ticks_) t->start();
+  }
+  void stop() override {
+    for (auto& h : hogs_) h->stop();
+    for (auto& t : ticks_) t->stop();
+  }
 
  private:
-  std::unique_ptr<wl::HungryLoops> app_;
-};
-
-class TickerWorkload final : public cluster::Workload {
- public:
-  TickerWorkload(hv::Hypervisor& hv, hv::Domain& dom) {
-    const auto vcpus = domain_vcpus(dom);
-    app_ = std::make_unique<wl::GuestOsTicks>(
-        hv, dom, std::span<hv::Vcpu* const>(vcpus));
-  }
-  void start() override { app_->start(); }
-  void stop() override { app_->stop(); }
-
- private:
-  std::unique_ptr<wl::GuestOsTicks> app_;
+  std::vector<std::unique_ptr<wl::HungryLoops>> hogs_;
+  std::vector<std::unique_ptr<wl::GuestOsTicks>> ticks_;
 };
 
 }  // namespace
 
-cluster::WorkloadFactory hungry_workload() {
-  return [](hv::Hypervisor& hv, hv::Domain& dom) {
-    return std::make_unique<HungryWorkload>(hv, dom);
+cluster::WorkloadFactory background_workload(std::vector<BackgroundApp> apps) {
+  return [apps = std::move(apps)](hv::Hypervisor& hv, hv::Domain& dom) {
+    return std::make_unique<BackgroundWorkload>(hv, dom, apps);
   };
 }
 
+cluster::WorkloadFactory hungry_workload() {
+  return background_workload({{.hungry = true}});
+}
+
 cluster::WorkloadFactory ticker_workload() {
-  return [](hv::Hypervisor& hv, hv::Domain& dom) {
-    return std::make_unique<TickerWorkload>(hv, dom);
-  };
+  return background_workload({{.hungry = false}});
 }
 
 double hungry_dirty_rate(std::int64_t mem_bytes) {

@@ -1,22 +1,36 @@
 // Fleet plumbing: adapters that let the runner drive a cluster::Cluster —
-// rebindable workload factories for the background guests (so the control
+// the rebindable workload factory for the background guests (so the control
 // plane can live-migrate them), a per-host scheduler factory over the
 // SchedKind registry, and the engine-stepping loop for multi-machine runs.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "runner/scenario.hpp"
 
 namespace vprobe::runner {
 
-/// Workload factory running hungry loops on every VCPU of the domain
-/// (rebuilt from scratch on the destination host after a live migration).
+/// One background guest app: hungry loops (CPU burners) or guest-OS
+/// housekeeping ticks on the domain's VCPUs from index `from` on.
+struct BackgroundApp {
+  bool hungry = true;
+  int from = 0;
+};
+
+/// Workload factory running `apps` on the domain, rebuilt from scratch
+/// against whichever domain incarnation the control plane hands it
+/// (admission, or the destination host after a live migration).  start()
+/// starts every hungry app, then every ticker; an app whose `from` is past
+/// the domain's VCPUs throws invalid_argument.
+cluster::WorkloadFactory background_workload(std::vector<BackgroundApp> apps);
+
+/// Hungry loops on every VCPU of the domain.
 cluster::WorkloadFactory hungry_workload();
 
-/// Workload factory running guest-OS housekeeping ticks on every VCPU.
+/// Guest-OS housekeeping ticks on every VCPU of the domain.
 cluster::WorkloadFactory ticker_workload();
 
 /// Pre-copy dirty-rate estimates for those workloads, from the VM size:

@@ -10,103 +10,39 @@
 
 namespace vprobe::runner {
 
-const char* to_string(ExperimentFamily family) {
-  switch (family) {
-    case ExperimentFamily::kSpec:      return "spec";
-    case ExperimentFamily::kNpb:       return "npb";
-    case ExperimentFamily::kMemcached: return "memcached";
-    case ExperimentFamily::kRedis:     return "redis";
-    case ExperimentFamily::kOverhead:  return "overhead";
-    case ExperimentFamily::kCustom:    return "custom";
-  }
-  return "?";
-}
-
 // ---------------------------------------------------------------- RunSpec ----
 
 RunSpec RunSpec::spec(const RunConfig& config, std::string_view app) {
-  RunSpec s;
-  s.config = config;
-  s.family = ExperimentFamily::kSpec;
-  s.app = std::string(app);
-  s.label = "spec:" + s.app;
-  return s;
+  return {config, "spec:" + std::string(app),
+          [app = std::string(app)](const RunConfig& c) { return run_spec_single(c, app); }};
 }
 
 RunSpec RunSpec::npb(const RunConfig& config, std::string_view app) {
-  RunSpec s;
-  s.config = config;
-  s.family = ExperimentFamily::kNpb;
-  s.app = std::string(app);
-  s.label = "npb:" + s.app;
-  return s;
+  return {config, "npb:" + std::string(app),
+          [app = std::string(app)](const RunConfig& c) { return run_npb_single(c, app); }};
 }
 
 RunSpec RunSpec::memcached(const RunConfig& config, int concurrency,
                            std::uint64_t total_ops) {
-  RunSpec s;
-  s.config = config;
-  s.family = ExperimentFamily::kMemcached;
-  s.param = concurrency;
-  s.ops = total_ops;
-  s.label = "memcached:c" + std::to_string(concurrency);
-  return s;
+  return {config, "memcached:c" + std::to_string(concurrency),
+          [=](const RunConfig& c) { return run_memcached_single(c, concurrency, total_ops); }};
 }
 
 RunSpec RunSpec::redis(const RunConfig& config, int connections,
                        std::uint64_t total_requests) {
-  RunSpec s;
-  s.config = config;
-  s.family = ExperimentFamily::kRedis;
-  s.param = connections;
-  s.ops = total_requests;
-  s.label = "redis:p" + std::to_string(connections);
-  return s;
+  return {config, "redis:p" + std::to_string(connections),
+          [=](const RunConfig& c) { return run_redis_single(c, connections, total_requests); }};
 }
 
 RunSpec RunSpec::overhead(const RunConfig& config, int num_vms) {
-  RunSpec s;
-  s.config = config;
-  s.family = ExperimentFamily::kOverhead;
-  s.param = num_vms;
-  s.label = "overhead:" + std::to_string(num_vms) + "vms";
-  return s;
-}
-
-RunSpec RunSpec::custom_job(
-    const RunConfig& config, std::string label,
-    std::function<stats::RunMetrics(const RunConfig&)> fn) {
-  RunSpec s;
-  s.config = config;
-  s.family = ExperimentFamily::kCustom;
-  s.label = std::move(label);
-  s.custom = std::move(fn);
-  return s;
+  return {config, "overhead:" + std::to_string(num_vms) + "vms",
+          [=](const RunConfig& c) { return run_overhead_single(c, num_vms); }};
 }
 
 RunSpec RunSpec::with_sched(SchedKind kind) const {
   RunSpec s = *this;
   s.config.sched = kind;
   return s;
-}
-
-stats::RunMetrics RunSpec::run_single(const RunConfig& cfg) const {
-  switch (family) {
-    case ExperimentFamily::kSpec:
-      return run_spec_single(cfg, app);
-    case ExperimentFamily::kNpb:
-      return run_npb_single(cfg, app);
-    case ExperimentFamily::kMemcached:
-      return run_memcached_single(cfg, param, ops);
-    case ExperimentFamily::kRedis:
-      return run_redis_single(cfg, param, ops);
-    case ExperimentFamily::kOverhead:
-      return run_overhead_single(cfg, param);
-    case ExperimentFamily::kCustom:
-      if (!custom) throw std::logic_error("RunSpec: custom job without body");
-      return custom(cfg);
-  }
-  throw std::logic_error("RunSpec: bad family");
 }
 
 // ---------------------------------------------------------------- RunPlan ----
@@ -180,7 +116,7 @@ std::vector<RunResult> ParallelExecutor::run(const RunPlan& plan) const {
       cfg.seed = job.config.seed + static_cast<std::uint64_t>(unit.rep);
       cfg.repeats = 1;
       try {
-        unit_metrics[u] = job.run_single(cfg);
+        unit_metrics[u] = job.fn(cfg);
       } catch (const std::exception& e) {
         unit_errors[u] = e.what();
       } catch (...) {

@@ -1,7 +1,7 @@
 // Declarative run plans and the parallel executor.
 //
-// A RunSpec describes one experiment job — a RunConfig plus an experiment
-// family and its parameters — without running anything.  A RunPlan is an
+// A RunSpec describes one experiment job — a RunConfig plus the closure
+// that runs one simulation of it — without running anything.  A RunPlan is an
 // ordered list of jobs (typically a workload × scheduler grid).  The
 // ParallelExecutor runs a plan on a pool of worker threads and returns
 // results keyed by job index, so output never depends on completion order.
@@ -26,32 +26,22 @@
 
 namespace vprobe::runner {
 
-/// The experiment families of Section V, plus an escape hatch for
-/// bench-specific setups (solo calibration, misplaced-memory ablation...).
-enum class ExperimentFamily {
-  kSpec,       ///< run_spec(config, app)
-  kNpb,        ///< run_npb(config, app)
-  kMemcached,  ///< run_memcached(config, param, ops)
-  kRedis,      ///< run_redis(config, param, ops)
-  kOverhead,   ///< run_overhead(config, param)
-  kCustom,     ///< user-provided callable
-};
-
-const char* to_string(ExperimentFamily family);
-
-/// One job: a RunConfig + experiment family + parameters + display label.
+/// One job: the RunConfig it starts from, a display label, and the body
+/// that runs one simulation.  The factories below bind an experiment
+/// family's parameters into `fn`; bench-specific setups (solo calibration,
+/// misplaced-memory ablation...) brace-initialise a RunSpec with their own
+/// `fn`.  `fn` gets the per-seed config as an argument, so a sweep's
+/// with_sched() clone retargets it.
 struct RunSpec {
   RunConfig config;
-  ExperimentFamily family = ExperimentFamily::kCustom;
-  std::string app;       ///< SPEC/NPB profile name (kSpec/kNpb)
-  int param = 0;         ///< concurrency / connections / num_vms
-  std::uint64_t ops = 0; ///< total operations (kMemcached/kRedis)
-  std::string label;     ///< progress & error display, e.g. "spec:soplex"
-  /// kCustom body; must be safe to call concurrently with *other* jobs
-  /// (i.e. build its own hypervisor/engine, share nothing mutable).
-  std::function<stats::RunMetrics(const RunConfig&)> custom;
+  std::string label;  ///< progress & error display, e.g. "spec:soplex"
+  /// Runs exactly one simulation with the executor's per-seed copy of
+  /// `config` (repeats = 1: repeat expansion is the executor's job).  Must
+  /// be safe to call concurrently with *other* jobs, i.e. build its own
+  /// hypervisor/engine and share nothing mutable.
+  std::function<stats::RunMetrics(const RunConfig&)> fn;
 
-  // -- Factories (label filled in) -------------------------------------------
+  // -- Factories over the Section V families (run_*_single) ----------------
   static RunSpec spec(const RunConfig& config, std::string_view app);
   static RunSpec npb(const RunConfig& config, std::string_view app);
   static RunSpec memcached(const RunConfig& config, int concurrency,
@@ -59,16 +49,9 @@ struct RunSpec {
   static RunSpec redis(const RunConfig& config, int connections,
                        std::uint64_t total_requests = 400'000);
   static RunSpec overhead(const RunConfig& config, int num_vms);
-  static RunSpec custom_job(
-      const RunConfig& config, std::string label,
-      std::function<stats::RunMetrics(const RunConfig&)> fn);
 
   /// Copy of this spec targeting another scheduler (for sweeps).
   RunSpec with_sched(SchedKind kind) const;
-
-  /// Run exactly one simulation with `cfg` (ignores cfg.repeats — repeat
-  /// expansion is the executor's job).
-  stats::RunMetrics run_single(const RunConfig& cfg) const;
 };
 
 /// An ordered list of jobs.  Order defines result order.

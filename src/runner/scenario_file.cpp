@@ -382,48 +382,6 @@ ScenarioSpec parse_scenario(std::string_view text) {
   return spec;
 }
 
-namespace {
-
-/// The rebindable guest software of a cluster-managed background VM: its
-/// hungry/ticks apps, rebuilt from the scenario spec against whichever
-/// domain incarnation the control plane hands us (admission, or the
-/// destination host after a live migration).
-class BackgroundWorkload final : public cluster::Workload {
- public:
-  BackgroundWorkload(hv::Hypervisor& hv, hv::Domain& dom,
-                     const std::vector<ScenarioSpec::AppSpec>& apps) {
-    const auto vcpus = domain_vcpus(dom);
-    for (const auto& app : apps) {
-      const auto from = static_cast<std::size_t>(app.from);
-      if (from >= vcpus.size()) {
-        throw std::invalid_argument("app 'from' beyond vm '" + app.vm + "' vcpus");
-      }
-      std::vector<hv::Vcpu*> subset(vcpus.begin() + static_cast<std::ptrdiff_t>(from),
-                                    vcpus.end());
-      if (app.kind == "hungry") {
-        hogs_.push_back(std::make_unique<wl::HungryLoops>(hv, dom, subset));
-      } else {  // ticks
-        ticks_.push_back(std::make_unique<wl::GuestOsTicks>(hv, dom, subset));
-      }
-    }
-  }
-
-  void start() override {
-    for (auto& h : hogs_) h->start();
-    for (auto& t : ticks_) t->start();
-  }
-  void stop() override {
-    for (auto& h : hogs_) h->stop();
-    for (auto& t : ticks_) t->stop();
-  }
-
- private:
-  std::vector<std::unique_ptr<wl::HungryLoops>> hogs_;
-  std::vector<std::unique_ptr<wl::GuestOsTicks>> ticks_;
-};
-
-}  // namespace
-
 stats::RunMetrics run_scenario(const ScenarioSpec& spec) {
   SchedulerOptions opts;
   opts.sampling_period = sim::Time::seconds(spec.sampling_s);
@@ -490,13 +448,13 @@ stats::RunMetrics run_scenario(const ScenarioSpec& spec) {
     cvm.alternate = vm.alternate;
     cvm.host = vm.host;
     if (movable) {
-      const std::vector<ScenarioSpec::AppSpec> apps = apps_it->second;
-      cvm.workload = [apps](hv::Hypervisor& hv, hv::Domain& dom) {
-        return std::make_unique<BackgroundWorkload>(hv, dom, apps);
-      };
-      const bool any_hungry =
-          std::any_of(apps.begin(), apps.end(),
-                      [](const auto& a) { return a.kind == "hungry"; });
+      std::vector<BackgroundApp> apps;
+      bool any_hungry = false;
+      for (const auto& app : apps_it->second) {
+        apps.push_back({.hungry = app.kind == "hungry", .from = app.from});
+        any_hungry = any_hungry || apps.back().hungry;
+      }
+      cvm.workload = background_workload(std::move(apps));
       cvm.dirty_bytes_per_s = any_hungry ? hungry_dirty_rate(vm.mem_bytes)
                                          : ticker_dirty_rate(vm.mem_bytes);
       cvm.autostart = false;  // staggered via start_vm below

@@ -162,17 +162,17 @@ struct ScenarioSpec {
   double balance_period_s = 0.5;
   double balance_threshold = 0.25;
 
-  /// Engine shards for cluster runs (no file directive — set from the
-  /// --sim-threads flag / RunConfig by the caller, since the scenario
+  /// Engine shards for cluster runs (no file directive — the caller sets
+  /// it, e.g. from run_scenario's --sim-threads flag, since the scenario
   /// describes the experiment and threading must not change its result:
   /// any N is bit-identical to 1, see docs/PDES.md).
   int sim_threads = 1;
   /// Batched demand-driven windows for sharded runs (no file directive —
-  /// set from --no-window-batch / RunConfig by the caller, same reasoning
+  /// set from --no-window-batch by the caller, same reasoning
   /// as sim_threads: bit-identical either way, docs/PDES.md).
   bool window_batch = true;
   /// Lazy open-loop arrival delivery (no file directive — set from
-  /// --no-lazy-arrivals / RunConfig by the caller, same reasoning as
+  /// --no-lazy-arrivals by the caller, same reasoning as
   /// window_batch: bit-identical either way, docs/SERVING.md).
   bool lazy_arrivals = true;
 };

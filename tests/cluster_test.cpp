@@ -518,15 +518,15 @@ TEST(FleetMix, SameDigestSerialAndParallel) {
   cfg.seed = spec.seed;
 
   runner::RunPlan serial_plan;
-  serial_plan.add(runner::RunSpec::custom_job(cfg, "fleet", job));
+  serial_plan.add(runner::RunSpec{cfg, "fleet", job});
   runner::ExecutorOptions serial;
   serial.jobs = 1;
   const auto lone = runner::execute_plan(serial_plan, serial).front();
 
   runner::RunPlan parallel_plan;
-  parallel_plan.add(runner::RunSpec::custom_job(cfg, "fleet-a", job));
-  parallel_plan.add(runner::RunSpec::custom_job(cfg, "fleet-b", job));
-  parallel_plan.add(runner::RunSpec::custom_job(cfg, "fleet-c", job));
+  parallel_plan.add(runner::RunSpec{cfg, "fleet-a", job});
+  parallel_plan.add(runner::RunSpec{cfg, "fleet-b", job});
+  parallel_plan.add(runner::RunSpec{cfg, "fleet-c", job});
   runner::ExecutorOptions parallel;
   parallel.jobs = 3;
   parallel.progress = false;

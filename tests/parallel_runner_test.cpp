@@ -6,9 +6,11 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
 
 #include "runner/run_plan.hpp"
 #include "stats/aggregate.hpp"
+#include "stats/json.hpp"
 
 namespace vprobe::runner {
 namespace {
@@ -90,9 +92,9 @@ TEST(ParallelExecutor, ThrowingJobDoesNotPoisonSiblings) {
   RunConfig cfg = tiny_config();
   cfg.repeats = 1;
   RunPlan plan;
-  plan.add(RunSpec::custom_job(cfg, "boom", [](const RunConfig&) -> stats::RunMetrics {
+  plan.add(RunSpec{cfg, "boom", [](const RunConfig&) -> stats::RunMetrics {
     throw std::runtime_error("injected failure");
-  }));
+  }});
   plan.add(RunSpec::spec(cfg, "soplex"));
 
   const auto results = ParallelExecutor(ExecutorOptions{2}).run(plan);
@@ -113,14 +115,14 @@ TEST(ParallelExecutor, RepeatsAreExpandedIntoPerSeedRuns) {
   std::atomic<int> calls{0};
   std::atomic<std::uint64_t> seed_sum{0};
   RunPlan plan;
-  plan.add(RunSpec::custom_job(cfg, "probe", [&](const RunConfig& c) {
+  plan.add(RunSpec{cfg, "probe", [&](const RunConfig& c) {
     calls.fetch_add(1);
     seed_sum.fetch_add(c.seed);
     EXPECT_EQ(c.repeats, 1);  // expansion happens in the executor
     stats::RunMetrics m;
     m.completed = true;
     return m;
-  }));
+  }});
   const auto results = ParallelExecutor(ExecutorOptions{2}).run(plan);
   ASSERT_TRUE(results[0].ok());
   EXPECT_EQ(calls.load(), 3);
@@ -138,6 +140,30 @@ TEST(RunPlan, AddSweepPreservesSchedulerOrder) {
     EXPECT_EQ(plan.job(i).config.sched, kinds[i]);
     EXPECT_EQ(plan.job(i).label, "spec:mcf");
   }
+}
+
+// A RunSpec is {config, label, fn}: the factory must own a copy of its
+// parameters (the app name below outlives its temporary only if copied,
+// which ASan checks) and fn must take the executor's per-seed config as
+// its argument rather than a captured copy, or with_sched() would not
+// retarget the job.
+TEST(RunSpec, FactoryClosureOwnsItsParametersAndTakesTheConfig) {
+  RunConfig cfg = tiny_config();
+  cfg.repeats = 1;
+  RunPlan plan;
+  const RunSpec credit = RunSpec::spec(cfg, std::string("soplex"));
+  plan.add(credit);
+  plan.add(credit.with_sched(SchedKind::kVprobe));
+  EXPECT_EQ(plan.job(0).label, "spec:soplex");
+
+  const auto metrics = execute_plan(plan);
+  ASSERT_EQ(metrics.size(), 2u);
+  EXPECT_EQ(stats::to_json(metrics[0]), stats::to_json(run_spec_single(cfg, "soplex")));
+  RunConfig vprobe = cfg;
+  vprobe.sched = SchedKind::kVprobe;
+  EXPECT_EQ(stats::to_json(metrics[1]),
+            stats::to_json(run_spec_single(vprobe, "soplex")));
+  EXPECT_EQ(metrics[1].scheduler, to_string(SchedKind::kVprobe));
 }
 
 TEST(MetricsAccumulator, SingleRunPassesThroughUnchanged) {

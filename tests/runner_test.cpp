@@ -61,14 +61,12 @@ TEST(CliTest, ValueKeysTakeTheNextToken) {
       << "a value token leaked into the positionals";
 }
 
-// pdes_scaling/scaling_machines advertise "--horizon S", "--max-threads N"
-// and "--max-hosts N"; "--horizon 2" used to set horizon to 1.
+// pdes_scaling advertises "--horizon S" and "--max-threads N" (and
+// serving_bench "--horizon S"); "--horizon 2" used to set horizon to 1.
 TEST(CliTest, BenchSweepKeysTakeTheNextToken) {
-  const Cli cli = make_cli({"prog", "--horizon", "2", "--max-threads", "3",
-                            "--max-hosts", "5"});
+  const Cli cli = make_cli({"prog", "--horizon", "2", "--max-threads", "3"});
   EXPECT_DOUBLE_EQ(cli.get_double("horizon", 0.0), 2.0);
   EXPECT_EQ(cli.get_int("max-threads", 0), 3);
-  EXPECT_EQ(cli.get_int("max-hosts", 0), 5);
   EXPECT_TRUE(cli.positional().empty())
       << "a value token leaked into the positionals";
 }

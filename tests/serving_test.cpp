@@ -718,8 +718,8 @@ TEST(SpikeFleet, JobsAndShardCountsNeverChangeTheServingStats) {
   runner::RunConfig cfg;
   cfg.seed = spec.seed;
   runner::RunPlan plan;
-  plan.add(runner::RunSpec::custom_job(cfg, "spike-a", job));
-  plan.add(runner::RunSpec::custom_job(cfg, "spike-b", job));
+  plan.add(runner::RunSpec{cfg, "spike-a", job});
+  plan.add(runner::RunSpec{cfg, "spike-b", job});
   runner::ExecutorOptions opts;
   opts.jobs = 2;
   const auto results = runner::execute_plan(plan, opts);
