@@ -223,6 +223,7 @@ int main(int argc, char** argv) {
           "  --horizon S         simulated seconds for --rps (default 0.12)\n")) {
     return 0;
   }
+  cli.require_known({"smoke", "rps", "horizon"});
   if (cli.has("smoke")) return run_smoke();
   const double rps = cli.get_double("rps", 0.0);
   if (rps > 0.0) return run_hot_path(rps, cli.get_double("horizon", 0.12));

@@ -61,6 +61,8 @@ int main(int argc, char** argv) {
           "                   (scenario must declare kind=kv apps)\n"
           "  --slo-ms M       override the request-latency SLO threshold"))
     return 0;
+  cli.require_known({"repeats", "jobs", "json", "hosts-csv", "sim-threads",
+                     "no-window-batch", "no-lazy-arrivals", "rps", "slo-ms"});
 
   std::string text;
   if (cli.positional().empty()) {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 #include "hv/work.hpp"
@@ -68,13 +69,24 @@ class Vcpu {
   numa::PcpuId last_ran_pcpu = numa::kInvalidPcpu; ///< for warmth bookkeeping
 
   /// Hard affinity bitmask over PCPUs (Xen's vcpu-pin).  Schedulers must
-  /// never run or queue this VCPU on a PCPU outside the mask.
-  std::uint64_t affinity_mask = ~0ull;
+  /// never run or queue this VCPU on a PCPU outside the mask.  All ones
+  /// means "every PCPU", those past bit 63 included; any other mask names
+  /// PCPUs 0..63 only.
+  static constexpr std::uint64_t kAnyPcpu = ~0ull;
+  std::uint64_t affinity_mask = kAnyPcpu;
   bool allowed_on(numa::PcpuId p) const {
-    return p >= 0 && p < 64 && (affinity_mask >> p) & 1u;
+    const auto bit = static_cast<std::uint64_t>(p);  // negative -> huge
+    return p >= 0 &&
+           (affinity_mask == kAnyPcpu || (bit < 64 && (affinity_mask >> bit) & 1u));
   }
-  void pin_to(numa::PcpuId p) { affinity_mask = 1ull << p; }
-  bool is_pinned() const { return affinity_mask != ~0ull; }
+  void pin_to(numa::PcpuId p) {
+    if (p < 0 || p >= 64) {
+      throw std::invalid_argument("Vcpu::pin_to: PCPU " + std::to_string(p) +
+                                  " is outside the 64-bit affinity mask");
+    }
+    affinity_mask = 1ull << p;
+  }
+  bool is_pinned() const { return affinity_mask != kAnyPcpu; }
   CreditPrio priority = CreditPrio::kUnder;
   double credits = 0.0;
   bool in_runqueue = false;

@@ -1,5 +1,6 @@
 #include "runner/cli.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -122,6 +123,18 @@ std::uint64_t Cli::get_u64(const std::string& key, std::uint64_t fallback) const
 }
 
 bool Cli::help_requested() const { return has("help"); }
+
+void Cli::require_known(std::initializer_list<std::string_view> known) const {
+  for (const auto& [key, value] : options_) {
+    if (key == "help" ||
+        std::find(known.begin(), known.end(), key) != known.end()) {
+      continue;
+    }
+    std::fprintf(stderr, "%s: unknown flag --%s (see --help)\n",
+                 program_.c_str(), key.c_str());
+    std::exit(2);
+  }
+}
 
 BenchFlags parse_bench_flags(const Cli& cli, double default_scale) {
   BenchFlags flags;

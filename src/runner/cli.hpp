@@ -11,9 +11,11 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "runner/experiment.hpp"
@@ -40,6 +42,11 @@ class Cli {
 
   /// True when --help (or -h) was given.
   bool help_requested() const;
+
+  /// Strict flag set: a given flag not in `known` (--help always is) is a
+  /// usage error, so this prints it to stderr and exits 2.  Without the
+  /// check a misspelt flag such as --no-lazy-arrival is silently ignored.
+  void require_known(std::initializer_list<std::string_view> known) const;
 
  private:
   [[noreturn]] void reject(const std::string& key, const std::string& value,

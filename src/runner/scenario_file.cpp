@@ -735,7 +735,10 @@ stats::RunMetrics run_scenario(const ScenarioSpec& spec) {
     // Arrival-path accounting: client-side events (one per arrival eager,
     // one per block boundary lazy) plus server-side materialization events,
     // and the requests delivered without an engine event of their own.
-    if (open_loop) metrics.arrival_events = open_loop->arrival_events();
+    if (open_loop) {
+      open_loop->check_conservation();
+      metrics.arrival_events = open_loop->arrival_events();
+    }
     for (const auto& s : kv_servers) {
       metrics.arrival_events += s->arrival_events();
       metrics.arrivals_coalesced += s->arrivals_coalesced();

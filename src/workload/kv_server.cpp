@@ -20,7 +20,8 @@ RequestServer::RequestServer(hv::Hypervisor& hv, hv::Domain& domain,
   vcpus_.assign(vcpus.begin(), vcpus.begin() + config.workers);
   pending_.assign(static_cast<std::size_t>(config.workers), 0);
   inflight_.assign(static_cast<std::size_t>(config.workers), 0);
-  arrival_queues_.resize(static_cast<std::size_t>(config.workers));
+  idle_workers_ = config.workers;
+  ledgers_ = std::vector<ArrivalLedger>(static_cast<std::size_t>(config.workers));
   workers_.reserve(static_cast<std::size_t>(config.workers));
   for (int i = 0; i < config.workers; ++i) {
     ComputeThread::Init init;
@@ -37,28 +38,62 @@ RequestServer::RequestServer(hv::Hypervisor& hv, hv::Domain& domain,
 
 RequestServer::~RequestServer() { future_event_.cancel(); }
 
-std::int64_t RequestServer::pending() const {
+std::int64_t RequestServer::in_flight() const {
   std::int64_t total = 0;
-  for (auto p : pending_) total += p;
+  for (const int b : inflight_) total += b;
+  return total;
+}
+
+std::int64_t RequestServer::projected_due(sim::Time upto) const {
+  std::int64_t total = 0;
+  for (std::size_t i = 0; i < future_.size() && future_[i].when <= upto; ++i) {
+    total += future_[i].count;
+  }
+  return total;
+}
+
+std::int64_t RequestServer::ledger_requests() const {
+  std::int64_t total = 0;
+  for (const ArrivalLedger& l : ledgers_) total += l.requests();
+  return total;
+}
+
+std::size_t RequestServer::ledger_bytes() const {
+  std::size_t total = 0;
+  for (const ArrivalLedger& l : ledgers_) total += l.bytes();
   return total;
 }
 
 void RequestServer::submit(int n) {
   if (n <= 0) return;
-  absorb_due(false);
+  absorb(hv_->now(), false);
   enqueue_rr(hv_->now(), n);
 }
 
 void RequestServer::submit_to(int worker, int n) {
   if (n <= 0) return;
-  absorb_due(false);
-  pending_[static_cast<std::size_t>(worker)] += n;
-  arrival_queues_[static_cast<std::size_t>(worker)].emplace_back(hv_->now(), n);
+  absorb(hv_->now(), false);
+  const auto w = static_cast<std::size_t>(worker);
+  pending_[w] += n;
+  queued_ += n;
+  ledgers_[w].push(hv_->now(), n);
   kick(worker);
 }
 
 void RequestServer::enqueue_rr(sim::Time when, int n) {
   const int nw = workers();
+  queued_ += n;
+  if (n == 1) {
+    // One projected arrival (the lazy path's common case): one record and
+    // one kick, exactly the general loop's first step.
+    const int w = round_robin_;
+    round_robin_ = w + 1 == nw ? 0 : w + 1;
+    const auto wi = static_cast<std::size_t>(w);
+    ledgers_[wi].push(when, 1);
+    pending_[wi] += 1;
+    kick(w);
+    return;
+  }
   const int start = round_robin_;
   round_robin_ = (start + n) % nw;
   // Worker visited at step s takes the requests the one-at-a-time loop
@@ -69,7 +104,7 @@ void RequestServer::enqueue_rr(sim::Time when, int n) {
     const int share = full + (step < extra ? 1 : 0);
     if (share == 0) break;
     const auto w = static_cast<std::size_t>((start + step) % nw);
-    arrival_queues_[w].emplace_back(when, share);
+    ledgers_[w].push(when, share);
     // The kick must see the pending count the per-request loop had when it
     // first touched this worker: a parked worker starts a batch of one,
     // the rest of the share lands as bookkeeping behind the started burst.
@@ -81,31 +116,24 @@ void RequestServer::enqueue_rr(sim::Time when, int n) {
 
 void RequestServer::submit_at(sim::Time when, int n) {
   if (n <= 0) return;
-  // Keep the projection time-ordered; a single client pushes in
-  // non-decreasing time order, so this insert is O(1) amortized.
-  auto it = future_.end();
-  while (it != future_.begin() && std::prev(it)->first > when) --it;
-  future_.insert(it, {when, n});
+  // The projection stays time-ordered by contract (one client, pushing in
+  // non-decreasing time order), so appending is the whole insert.
+  if (!future_.empty() && when < future_.back().when) {
+    throw std::logic_error(name_ + ": submit_at went back in time");
+  }
+  future_.push_back({when, n});
   update_future_event();
 }
 
-void RequestServer::absorb_future(sim::Time upto) {
-  while (!future_.empty() && future_.front().first <= upto) {
-    const auto [when, n] = future_.front();
-    future_.pop_front();
-    enqueue_rr(when, n);
-    arrivals_coalesced_ += static_cast<std::uint64_t>(n);
-  }
-}
+void RequestServer::absorb_future(sim::Time upto) { absorb(upto, false); }
 
 void RequestServer::retract_future_after(sim::Time cut) {
-  while (!future_.empty() && future_.back().first > cut) future_.pop_back();
+  while (!future_.empty() && future_.back().when > cut) future_.pop_back();
 }
 
-void RequestServer::absorb_due(bool via_event) {
-  const sim::Time now = hv_->now();
+void RequestServer::absorb(sim::Time upto, bool via_event) {
   bool first = via_event;
-  while (!future_.empty() && future_.front().first <= now) {
+  while (!future_.empty() && future_.front().when <= upto) {
     const auto [when, n] = future_.front();
     future_.pop_front();
     enqueue_rr(when, n);
@@ -117,6 +145,7 @@ void RequestServer::absorb_due(bool via_event) {
 }
 
 bool RequestServer::any_worker_parked() const {
+  if (idle_workers_ == 0) return false;
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     if (inflight_[w] == 0 && !workers_[w]->stopped() &&
         vcpus_[w]->state == hv::VcpuState::kBlocked) {
@@ -133,13 +162,13 @@ void RequestServer::update_future_event() {
 
 void RequestServer::arm_future_event() {
   if (future_.empty()) return;
-  const sim::Time when = std::max(future_.front().first, hv_->now());
+  const sim::Time when = std::max(future_.front().when, hv_->now());
   if (future_event_.pending() && future_event_when_ <= when) return;
   future_event_.cancel();
   future_event_when_ = when;
   future_event_ = hv_->engine().schedule_at(when, [this] {
     ++arrival_events_;
-    absorb_due(true);
+    absorb(hv_->now(), true);
     update_future_event();
   });
 }
@@ -153,12 +182,18 @@ void RequestServer::kick(int worker) {
   hv::Vcpu* v = vcpus_[w];
   if (v->state != hv::VcpuState::kBlocked) return;
   if (pending_[w] <= 0) return;
+  begin_batch(w);
+  hv_->wake(*v);
+}
+
+void RequestServer::begin_batch(std::size_t w) {
   const int batch = static_cast<int>(
       std::min<std::int64_t>(pending_[w], max_batch_));
   pending_[w] -= batch;
+  queued_ -= batch;
   inflight_[w] = batch;
+  --idle_workers_;
   workers_[w]->begin_batch(batch * instr_per_request_);
-  hv_->wake(*v);
 }
 
 hv::Outcome RequestServer::worker_batch_done(int worker, sim::Time now) {
@@ -167,37 +202,27 @@ hv::Outcome RequestServer::worker_batch_done(int worker, sim::Time now) {
   // kick inside delivery no-ops on this worker (its burst is still marked
   // in flight), and the refill below then sees exactly the pending count
   // the per-arrival event stream would have accumulated.
-  absorb_due(false);
+  absorb(now, false);
   const int done = inflight_[w];
+  if (done != 0) ++idle_workers_;
   inflight_[w] = 0;
   served_ += static_cast<std::uint64_t>(done);
-  // Latency: drain arrival records in FIFO order.
-  int to_account = done;
-  auto& arrivals = arrival_queues_[w];
-  while (to_account > 0 && !arrivals.empty()) {
-    auto& [when, count] = arrivals.front();
+  // Latency: drain arrival records in FIFO order.  The histogram weights by
+  // request count so partially-drained batches are accounted per request;
+  // pure bookkeeping, no events or RNG, so recording here cannot move any
+  // trace digest.
+  ledgers_[w].consume(done, [this, now](sim::Time when, int used) {
     const double sojourn = (now - when).to_seconds();
-    const int used = std::min(count, to_account);
-    // The histogram weights by request count so partially-drained batches
-    // are accounted per request; pure bookkeeping, no events or RNG, so
-    // recording here cannot move any trace digest.
     latency_hist_.record(sojourn, static_cast<std::uint64_t>(used));
     if (slo_threshold_s_ > 0.0 && sojourn > slo_threshold_s_) {
       slo_violations_ += static_cast<std::uint64_t>(used);
     }
-    to_account -= used;
-    count -= used;
-    if (count == 0) arrivals.pop_front();
-  }
+  });
   if (on_served && done > 0) on_served(worker, done, now);
 
   // The callback may have refilled our queue (closed-loop clients do).
   if (pending_[w] > 0) {
-    const int batch = static_cast<int>(
-        std::min<std::int64_t>(pending_[w], max_batch_));
-    pending_[w] -= batch;
-    inflight_[w] = batch;
-    workers_[w]->begin_batch(batch * instr_per_request_);
+    begin_batch(w);
     return {hv::OutcomeKind::kContinue};
   }
   // This worker is about to park (its VCPU blocks once we return, so the

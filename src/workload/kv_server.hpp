@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -21,6 +20,7 @@
 #include "sim/engine.hpp"
 #include "stats/histogram.hpp"
 #include "workload/app.hpp"
+#include "workload/arrival_ledger.hpp"
 
 namespace vprobe::wl {
 
@@ -53,8 +53,9 @@ class RequestServer {
   /// timestamps at the next coupling point — a direct submit, a worker
   /// batch completion, or the materialization event this server arms while
   /// any worker is parked — so wakes, sojourns, and SLO counts land at
-  /// exactly the times a per-arrival event stream would produce.  Assumes
-  /// a single pushing client whose `when`s are non-decreasing per server.
+  /// exactly the times a per-arrival event stream would produce.  Requires
+  /// a single pushing client whose `when`s are non-decreasing per server;
+  /// an earlier `when` than the last projection throws std::logic_error.
   void submit_at(sim::Time when, int n);
 
   /// Deliver every projected arrival due at or before `upto` (the pushing
@@ -75,7 +76,17 @@ class RequestServer {
   std::function<void(int worker, int served, sim::Time now)> on_served;
 
   std::uint64_t served() const { return served_; }
-  std::int64_t pending() const;
+  /// Requests waiting for a batch (delivered, not yet in flight).
+  std::int64_t queued() const { return queued_; }
+  /// Requests covered by the workers' current bursts.
+  std::int64_t in_flight() const;
+  /// Projected requests due at or before `upto` and not yet delivered.
+  std::int64_t projected_due(sim::Time upto) const;
+  /// Requests held in the arrival ledgers (queued + in flight when the
+  /// bookkeeping is consistent; see OpenLoopClient::check_conservation).
+  std::int64_t ledger_requests() const;
+  /// Bytes of ledger chunks the workers hold (docs/SERVING.md).
+  std::size_t ledger_bytes() const;
   int workers() const { return static_cast<int>(workers_.size()); }
   const std::string& name() const { return name_; }
   ComputeThread& worker_thread(int i) { return *workers_.at(static_cast<std::size_t>(i)); }
@@ -131,10 +142,13 @@ class RequestServer {
   /// order as the one-at-a-time loop this replaces.
   void enqueue_rr(sim::Time when, int n);
 
-  /// Deliver projected arrivals due at or before the current time.
-  /// `via_event` marks delivery from the materialization event (the first
-  /// request then rides that event; only the rest count as coalesced).
-  void absorb_due(bool via_event);
+  /// Deliver projected arrivals due at or before `upto`.  `via_event` marks
+  /// delivery from the materialization event (the first request then rides
+  /// that event; only the rest count as coalesced).
+  void absorb(sim::Time upto, bool via_event);
+
+  /// Start the next batch of up to max_batch pending requests on `w`.
+  void begin_batch(std::size_t w);
 
   bool any_worker_parked() const;
 
@@ -155,15 +169,19 @@ class RequestServer {
   std::vector<hv::Vcpu*> vcpus_;
   std::vector<std::int64_t> pending_;
   std::vector<int> inflight_;   ///< requests covered by the current burst
+  std::int64_t queued_ = 0;     ///< sum of pending_
+  /// Workers with no burst in flight: a parked worker is one of them, so
+  /// any_worker_parked() is false without a scan while this is zero.
+  int idle_workers_ = 0;
   /// Per-worker FIFO of (submit time, request count) for latency tracking.
-  std::vector<std::deque<std::pair<sim::Time, int>>> arrival_queues_;
+  std::vector<ArrivalLedger> ledgers_;
   stats::LatencyHistogram latency_hist_;
   double slo_threshold_s_ = 0.0;
   std::uint64_t slo_violations_ = 0;
   std::uint64_t served_ = 0;
   int round_robin_ = 0;
-  /// Projected (undelivered) arrivals, time-ordered: (arrival time, count).
-  std::deque<std::pair<sim::Time, int>> future_;
+  /// Projected (undelivered) arrivals, time-ordered.
+  ProjectionRing future_;
   sim::EventHandle future_event_;
   sim::Time future_event_when_ = sim::Time::zero();
   std::uint64_t arrival_events_ = 0;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <string>
 
 namespace vprobe::wl {
 
@@ -101,6 +102,44 @@ std::uint64_t OpenLoopClient::issued() const {
   return issued_base_ + k;
 }
 
+void OpenLoopClient::check_conservation() const {
+  const sim::Time now = engine_->now();
+  std::int64_t held = 0;
+  for (const RequestServer* srv : servers_) {
+    const auto served = static_cast<std::int64_t>(srv->served());
+    const auto recorded = static_cast<std::int64_t>(srv->latency_hist().count());
+    if (recorded != served) {
+      throw std::logic_error("serving conservation: " + srv->name() +
+                             " recorded " + std::to_string(recorded) +
+                             " sojourns for " + std::to_string(served) +
+                             " served requests");
+    }
+    const std::int64_t waiting = srv->queued() + srv->in_flight();
+    if (srv->ledger_requests() != waiting) {
+      throw std::logic_error("serving conservation: " + srv->name() +
+                             " ledger holds " +
+                             std::to_string(srv->ledger_requests()) +
+                             " requests for " + std::to_string(waiting) +
+                             " queued and in flight");
+    }
+    held += served + waiting + srv->projected_due(now);
+  }
+  if (static_cast<std::int64_t>(issued()) != held) {
+    std::string breakdown;
+    for (const RequestServer* srv : servers_) {
+      breakdown += " " + srv->name() + "=" + std::to_string(srv->served()) +
+                   "+" + std::to_string(srv->queued()) + "+" +
+                   std::to_string(srv->in_flight()) + "+" +
+                   std::to_string(srv->projected_due(now));
+    }
+    throw std::logic_error(
+        "serving conservation: " + cfg_.name + " issued " +
+        std::to_string(issued()) + " requests but its servers hold " +
+        std::to_string(held) + " (served+queued+in flight+due:" + breakdown +
+        ")");
+  }
+}
+
 // ---- eager (per-arrival event) path ---------------------------------------
 
 void OpenLoopClient::schedule_next(sim::Time from) {
@@ -136,8 +175,8 @@ std::size_t OpenLoopClient::pick_p2c() {
   // dispatch to the shorter queue, deterministic tie-break on index.
   const std::size_t a = rng_.pick_index(servers_.size());
   const std::size_t b = rng_.pick_index(servers_.size());
-  const std::int64_t qa = servers_[a]->pending();
-  const std::int64_t qb = servers_[b]->pending();
+  const std::int64_t qa = servers_[a]->queued();
+  const std::int64_t qb = servers_[b]->queued();
   if (qb < qa) return b;
   if (qa < qb) return a;
   return std::min(a, b);
@@ -147,34 +186,59 @@ std::size_t OpenLoopClient::pick_p2c() {
 
 void OpenLoopClient::extend_block(sim::Time base) {
   parked_ = false;
-  const auto cap = static_cast<std::size_t>(cfg_.block);
-  while (block_.size() < cap) {
-    if (cfg_.max_requests != 0 &&
-        issued_base_ + block_.size() >= cfg_.max_requests) {
-      return;
-    }
-    const sim::Time prev = block_.empty() ? base : block_.back().when;
-    const double rate = rate_at(prev.to_seconds());
+  const std::size_t first = block_.size();
+  std::size_t n = static_cast<std::size_t>(cfg_.block) - first;
+  if (cfg_.max_requests != 0) {
+    const std::uint64_t used = issued_base_ + first;
+    if (used >= cfg_.max_requests) return;
+    n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(n, cfg_.max_requests - used));
+  }
+  if (n == 0) return;  // block already full: nothing to draw, no rate read
+  sim::Time prev = first == 0 ? base : block_.back().when;
+  double rate = rate_at(prev.to_seconds());
+  // Zero rate parks the chain without consuming a draw, exactly like the
+  // eager schedule_next(); set_rate() revives it.
+  if (rate <= 0.0) {
+    parked_ = true;
+    return;
+  }
+  // The eager gap is exp_transform(raw, rate) = -log(raw) / rate, drawn
+  // one arrival at a time.  Three passes compute the same values with the
+  // log off the time chain.  Pass 1: the raws, spares (retracted by an
+  // earlier set_rate/stop) before fresh draws, so the raw sequence is
+  // always the eager client's draw sequence.
+  block_.resize(first + n);
+  std::size_t i = first;
+  for (; i < first + n && !spare_.empty(); ++i) {
+    block_[i].raw = spare_.front();
+    spare_.pop_front();
+  }
+  for (; i < first + n; ++i) block_[i].raw = rng_.draw_unit();
+  // Pass 2: the logs, independent of one another.
+  neg_logs_.resize(n);
+  for (std::size_t j = 0; j < n; ++j) neg_logs_[j] = -std::log(block_[first + j].raw);
+  // Pass 3: the time chain, each gap under the rate at its predecessor.
+  const std::size_t s = servers_.size();
+  for (std::size_t j = 0; j < n; ++j) {
+    if (j > 0) rate = rate_at(prev.to_seconds());
     if (rate <= 0.0) {
-      // Zero rate parks the chain without consuming a draw, exactly like
-      // the eager schedule_next(); set_rate() revives it.
+      // Parked mid-block: the unused raws were never drawn in the eager
+      // world, so they go back to the front of the spare pool in draw
+      // order (the client's stream is private, so drawing them early is
+      // invisible).
+      for (std::size_t k = first + n; k > first + j; --k) {
+        spare_.push_front(block_[k - 1].raw);
+      }
+      block_.resize(first + j);
       parked_ = true;
       return;
     }
-    // Spare raws (retracted by an earlier set_rate/stop) are consumed
-    // before fresh draws, so the sequence of raw uniforms behind the gaps
-    // is always the eager client's draw sequence.
-    double raw;
-    if (!spare_.empty()) {
-      raw = spare_.front();
-      spare_.pop_front();
-    } else {
-      raw = rng_.draw_unit();
-    }
-    const sim::Time when =
-        prev + sim::Time::seconds(sim::Rng::exp_transform(raw, rate));
-    block_.push_back({raw, when, static_cast<std::uint32_t>(round_robin_)});
-    round_robin_ = (round_robin_ + 1) % servers_.size();
+    prev = prev + sim::Time::seconds(neg_logs_[j] / rate);
+    Projected& p = block_[first + j];
+    p.when = prev;
+    p.server = static_cast<std::uint32_t>(round_robin_);
+    round_robin_ = round_robin_ + 1 == s ? 0 : round_robin_ + 1;
   }
 }
 

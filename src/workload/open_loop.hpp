@@ -106,6 +106,14 @@ class OpenLoopClient {
   /// Arrivals that have occurred by the engine's current time.
   std::uint64_t issued() const;
 
+  /// Serving conservation (docs/SERVING.md): every issued arrival is
+  /// served, queued, in flight, or projected and due but not yet delivered;
+  /// each server's histogram counts exactly its served requests and its
+  /// ledgers hold exactly its queued and in-flight ones.  Throws
+  /// std::logic_error naming the server (or the client) on a mismatch.
+  /// Assumes this client is the only source of the servers' requests.
+  void check_conservation() const;
+
   /// Engine events the arrival path has paid on the client's engine: one
   /// per arrival on the eager path, one per block boundary on the lazy
   /// path (server-side materialization events are counted by the servers).
@@ -150,6 +158,7 @@ class OpenLoopClient {
   bool running_ = false;
   std::vector<Projected> block_;  ///< current block, time-ordered
   std::deque<double> spare_;      ///< retracted raws, original draw order
+  std::vector<double> neg_logs_;  ///< extend_block scratch: -log(raw)
   std::uint64_t issued_base_ = 0; ///< arrivals folded out of past blocks
   bool parked_ = false;           ///< projection stopped at a zero rate
   std::uint64_t arrival_events_ = 0;

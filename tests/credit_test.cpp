@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "core/numa_balance.hpp"
 #include "test_helpers.hpp"
@@ -374,6 +377,44 @@ numa::MachineConfig three_by_24() {
   cfg.cores_per_node = 24;  // 72 PCPUs: the occupancy set spans two words
   cfg.validate();
   return cfg;
+}
+
+TEST(Affinity, UnpinnedVcpusRunOnPcpusPast63) {
+  // The all-ones mask means "every PCPU", so on 72 PCPUs an unpinned VCPU
+  // may run on 64..71 too: with one spinning VCPU per PCPU, each of those
+  // PCPUs does real work instead of idling behind a 64-bit mask.
+  Hypervisor::Config cfg;
+  cfg.machine = three_by_24();
+  cfg.seed = 3;
+  Hypervisor hv(cfg, std::make_unique<CreditScheduler>());
+  const int n = cfg.machine.total_pcpus();
+  Domain& dom = hv.create_domain("VM", 4 * kTestGB, n,
+                                 numa::PlacementPolicy::kFillFirst);
+  std::vector<std::unique_ptr<FakeWork>> works;
+  for (std::size_t i = 0; i < dom.num_vcpus(); ++i) {
+    Vcpu& v = dom.vcpu(i);
+    for (numa::PcpuId p = 0; p < n; ++p) ASSERT_TRUE(v.allowed_on(p)) << p;
+    works.push_back(std::make_unique<FakeWork>());
+    hv.bind_work(v, *works.back());
+  }
+  hv.start();
+  for (std::size_t i = 0; i < dom.num_vcpus(); ++i) hv.wake(dom.vcpu(i));
+  hv.engine().run_until(sim::Time::ms(100));
+  for (numa::PcpuId p = 64; p < n; ++p) {
+    EXPECT_GT(hv.pcpu(p).busy_time, sim::Time::zero()) << "PCPU " << p;
+  }
+
+  // A pin names one PCPU of the 64-bit mask; later PCPUs cannot be named.
+  Vcpu& v = dom.vcpu(0);
+  v.pin_to(5);
+  EXPECT_TRUE(v.is_pinned());
+  EXPECT_TRUE(v.allowed_on(5));
+  EXPECT_FALSE(v.allowed_on(6));
+  EXPECT_FALSE(v.allowed_on(70));
+  EXPECT_FALSE(v.allowed_on(numa::kInvalidPcpu));
+  EXPECT_THROW(v.pin_to(64), std::invalid_argument);
+  EXPECT_THROW(v.pin_to(-1), std::invalid_argument);
+  EXPECT_EQ(v.affinity_mask, 1ull << 5) << "a refused pin leaves the mask";
 }
 
 class StealOracle : public ::testing::TestWithParam<numa::MachineConfig> {};

@@ -23,6 +23,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
 #include <map>
 #include <numbers>
@@ -40,6 +41,7 @@
 #include "stats/histogram.hpp"
 #include "stats/metrics.hpp"
 #include "trace/digest.hpp"
+#include "workload/arrival_ledger.hpp"
 #include "workload/kv_server.hpp"
 #include "workload/open_loop.hpp"
 
@@ -213,43 +215,67 @@ struct ScriptResult {
   std::uint64_t issued = 0;
   std::uint64_t coalesced = 0;
   std::uint64_t events = 0;
+  std::int64_t ledger_requests = 0;
+  std::size_t ledger_bytes = 0;
+  int workers = 0;
+};
+
+/// A rate-multiplier window for run_scripted (spike_x = 0 parks the chain
+/// from inside rate_at, mid-block on the lazy path).
+struct SpikeWindow {
+  double at = -1.0;
+  double until = -1.0;
+  double x = 1.0;
 };
 
 /// One scripted run: start at t=0, apply (time, rate) pokes in order, stop
 /// at stop_at (0 = never), restart at restart_at (0 = never), run to the
 /// horizon.  Same seeds everywhere, so lazy and eager runs are twins.
+/// Serving conservation is checked after every step of the script.
 ScriptResult run_scripted(bool lazy, int block, double rps,
                           const std::vector<std::pair<double, double>>& pokes,
-                          double stop_at, double restart_at, double horizon) {
+                          double stop_at, double restart_at, double horizon,
+                          const SpikeWindow& spike = {}) {
   ServingRig rig = make_rig(21);
   wl::OpenLoopClient::Config ocfg;
   ocfg.rps = rps;
   ocfg.seed = 33;
   ocfg.lazy = lazy;
   ocfg.block = block;
+  ocfg.spike_at_s = spike.at;
+  ocfg.spike_until_s = spike.until;
+  ocfg.spike_x = spike.x;
   wl::OpenLoopClient client(rig.hv->engine(), ocfg, {rig.server.get()});
   rig.hv->start();
   client.start();
   sim::Engine& eng = rig.hv->engine();
   for (const auto& [t, r] : pokes) {
     eng.run_until(sim::Time::seconds(t));
+    client.check_conservation();
     client.set_rate(r);
+    client.check_conservation();
   }
   if (stop_at > 0.0) {
     eng.run_until(sim::Time::seconds(stop_at));
     client.stop();
+    client.check_conservation();
   }
   if (restart_at > 0.0) {
     eng.run_until(sim::Time::seconds(restart_at));
     client.start();
+    client.check_conservation();
   }
   eng.run_until(sim::Time::seconds(horizon));
+  client.check_conservation();
   ScriptResult r;
   r.hist_digest = rig.server->latency_hist().digest();
   r.served = rig.server->served();
   r.issued = client.issued();
   r.coalesced = rig.server->arrivals_coalesced();
   r.events = client.arrival_events() + rig.server->arrival_events();
+  r.ledger_requests = rig.server->ledger_requests();
+  r.ledger_bytes = rig.server->ledger_bytes();
+  r.workers = rig.server->workers();
   return r;
 }
 
@@ -281,6 +307,29 @@ TEST(LazyArrivals, SetRateParkAndReviveMidBlockMatchEager) {
   expect_script_identical(big, eager);
   // The block size is a pure batching knob: both lazy runs are identical.
   EXPECT_EQ(small.hist_digest, big.hist_digest);
+}
+
+TEST(LazyArrivals, ZeroRateWindowParksMidBlockAndSetRateRevives) {
+  // spike_x = 0 makes rate_at() itself return zero inside [0.08, 0.14):
+  // the chain parks at the first arrival landing in the window, in the
+  // middle of a pre-drawn block, and the raws drawn past it go back to the
+  // spare pool.  A set_rate inside the window finds the rate still zero and
+  // draws nothing; the one after it revives the chain from now.
+  const SpikeWindow off{0.08, 0.14, 0.0};
+  const std::vector<std::pair<double, double>> pokes = {{0.11, 5000.0},
+                                                        {0.2, 3000.0}};
+  const ScriptResult eager =
+      run_scripted(false, 4, 3000.0, pokes, 0.0, 0.0, 0.3, off);
+  const ScriptResult small =
+      run_scripted(true, 4, 3000.0, pokes, 0.0, 0.0, 0.3, off);
+  const ScriptResult big =
+      run_scripted(true, 64, 3000.0, pokes, 0.0, 0.0, 0.3, off);
+  ASSERT_GT(eager.issued, 300u);
+  expect_script_identical(small, eager);
+  expect_script_identical(big, eager);
+  // The park really held: [0.08, 0.2) is silent, so the run issues well
+  // under the ~900 arrivals 0.3 s at 3000 rps would bring.
+  EXPECT_LT(eager.issued, 700u);
 }
 
 TEST(LazyArrivals, StopMidBlockAndRestartContinueTheStream) {
@@ -328,6 +377,154 @@ TEST(LazyArrivals, SaturatedHighRateRunCoalescesMostArrivals) {
   EXPECT_GT(lazy.coalesced, 0u);
   EXPECT_LE(lazy.events * 5, eager.events)
       << "lazy delivery must pay at least 5x fewer arrival events";
+  // The backlog is held in the compact ledger: 8 B per queued request plus
+  // at most two partly used chunks per worker (docs/SERVING.md).
+  ASSERT_GT(lazy.ledger_requests, 10000);
+  EXPECT_LE(lazy.ledger_bytes,
+            8 * static_cast<std::size_t>(lazy.ledger_requests) +
+                2 * wl::ArrivalLedger::kChunkBytes *
+                    static_cast<std::size_t>(lazy.workers));
+  EXPECT_EQ(lazy.ledger_bytes, eager.ledger_bytes);
+}
+
+TEST(LazyArrivals, DirectSubmitsMixWithLazyProjections) {
+  // Multi-request records (submit_to with n > 1) interleave with the lazy
+  // path's one-request records in the same ledgers; lazy and eager runs
+  // with the same direct submits stay identical, and every request is
+  // accounted for.
+  const auto run = [](bool lazy) {
+    ServingRig rig = make_rig(29);
+    wl::OpenLoopClient::Config ocfg;
+    ocfg.rps = 30000.0;
+    ocfg.seed = 31;
+    ocfg.lazy = lazy;
+    ocfg.block = 16;
+    wl::OpenLoopClient client(rig.hv->engine(), ocfg, {rig.server.get()});
+    rig.hv->start();
+    client.start();
+    sim::Rng pokes(17);
+    std::int64_t direct = 0;
+    for (int step = 1; step <= 60; ++step) {
+      rig.hv->engine().run_until(sim::Time::ms(5 * step));
+      const int n = static_cast<int>(pokes.uniform_int(1, 40));
+      rig.server->submit_to(static_cast<int>(pokes.uniform_int(0, 3)), n);
+      direct += n;
+    }
+    const wl::RequestServer& srv = *rig.server;
+    EXPECT_EQ(static_cast<std::int64_t>(client.issued()) + direct,
+              static_cast<std::int64_t>(srv.served()) + srv.queued() +
+                  srv.in_flight() + srv.projected_due(rig.hv->now()));
+    EXPECT_EQ(srv.ledger_requests(), srv.queued() + srv.in_flight());
+    EXPECT_EQ(srv.latency_hist().count(), srv.served());
+    return std::tuple{srv.latency_hist().digest(), srv.served(),
+                      client.issued()};
+  };
+  const auto eager = run(false);
+  const auto lazy = run(true);
+  EXPECT_GT(std::get<1>(eager), 5000u);
+  EXPECT_EQ(lazy, eager);
+}
+
+// -- The arrival ledger ---------------------------------------------------------
+
+/// The chunk bound documented in workload/arrival_ledger.hpp.
+std::size_t ledger_chunk_bound(std::size_t words) {
+  constexpr std::size_t k = wl::ArrivalLedger::kChunkWords;
+  return std::max<std::size_t>(2, (words + 2 * k - 2) / k);
+}
+
+TEST(ArrivalLedger, MatchesADequeReferenceModel) {
+  // Random pushes of 1..40 requests and random partial consumes, in fill
+  // and drain phases so the ledger crosses many chunk boundaries (a marker
+  // and its timestamp split across two chunks included), checked record
+  // for record against the std::deque the ledger replaced.  The reference
+  // also tracks each record's word size to check the chunk bound.
+  sim::Rng rng(5);
+  wl::ArrivalLedger ledger;
+  std::deque<std::pair<sim::Time, int>> ref;
+  std::deque<std::size_t> ref_words;
+  std::int64_t t = 0;
+  std::size_t words = 0;
+  std::int64_t requests = 0;
+  std::size_t peak_chunks = 0;
+  for (int phase = 0; phase < 12; ++phase) {
+    const double push_p = phase % 2 == 0 ? 0.7 : 0.3;
+    for (int step = 0; step < 6000; ++step) {
+      if (rng.chance(push_p)) {
+        t += static_cast<std::int64_t>(rng.uniform_int(0, 1000));
+        const int count =
+            rng.chance(0.5) ? 1 : static_cast<int>(rng.uniform_int(1, 40));
+        ledger.push(sim::Time::ns(t), count);
+        ref.emplace_back(sim::Time::ns(t), count);
+        ref_words.push_back(count == 1 ? 1 : 2);
+        words += ref_words.back();
+        requests += count;
+      } else {
+        int n = static_cast<int>(rng.uniform_int(1, 20));
+        std::vector<std::pair<sim::Time, int>> got;
+        std::vector<std::pair<sim::Time, int>> want;
+        const int left = ledger.consume(
+            n, [&](sim::Time when, int used) { got.emplace_back(when, used); });
+        while (n > 0 && !ref.empty()) {
+          auto& [when, count] = ref.front();
+          const int used = std::min(count, n);
+          want.emplace_back(when, used);
+          n -= used;
+          requests -= used;
+          count -= used;
+          if (count == 0) {
+            ref.pop_front();
+            words -= ref_words.front();
+            ref_words.pop_front();
+          }
+        }
+        ASSERT_EQ(got, want);
+        ASSERT_EQ(left, n);
+      }
+      ASSERT_EQ(ledger.requests(), requests);
+      ASSERT_LE(ledger.chunks(), ledger_chunk_bound(words)) << words;
+      peak_chunks = std::max(peak_chunks, ledger.chunks());
+    }
+  }
+  EXPECT_GE(peak_chunks, 8u) << "the walk must cross many chunk boundaries";
+}
+
+TEST(ArrivalLedger, ChunksHeldStayFlatOverASteadyDrainAndRefill) {
+  // Slab behaviour: once a backlog of ~3 chunks has settled, draining and
+  // refilling 700 requests per round for 2000 rounds never holds more
+  // chunks than the first rounds did.
+  wl::ArrivalLedger big;
+  std::int64_t t = 0;
+  const auto refill = [&t](wl::ArrivalLedger& l, int n) {
+    for (int i = 0; i < n; ++i) l.push(sim::Time::ns(++t), 1);
+  };
+  const auto noop = [](sim::Time, int) {};
+  refill(big, 1500);
+  std::size_t settled = 0;
+  std::size_t peak = 0;
+  for (int round = 0; round < 2000; ++round) {
+    ASSERT_EQ(big.consume(700, noop), 0);
+    refill(big, 700);
+    if (round < 20) settled = std::max(settled, big.chunks());
+    peak = std::max(peak, big.chunks());
+  }
+  EXPECT_EQ(peak, settled);
+  EXPECT_LE(peak, ledger_chunk_bound(1500));
+  EXPECT_EQ(big.requests(), 1500);
+
+  // A small ledger oscillating across a chunk boundary keeps its one
+  // spare: two chunks, never a third, however long it runs.
+  wl::ArrivalLedger small;
+  refill(small, static_cast<int>(wl::ArrivalLedger::kChunkWords) - 1);
+  for (int round = 0; round < 5000; ++round) {
+    refill(small, 3);
+    ASSERT_EQ(small.consume(3, noop), 0);
+    ASSERT_LE(small.chunks(), 2u) << round;
+  }
+  ASSERT_EQ(small.consume(1 << 20, noop),
+            (1 << 20) - static_cast<int>(wl::ArrivalLedger::kChunkWords) + 1);
+  EXPECT_EQ(small.requests(), 0);
+  EXPECT_EQ(small.bytes(), small.chunks() * wl::ArrivalLedger::kChunkBytes);
 }
 
 // -- Bulk submit ----------------------------------------------------------------
@@ -360,7 +557,7 @@ TEST(Server, BulkSubmitMatchesThePerRequestLoop) {
   fast.hv->engine().run_until(sim::Time::seconds(0.1));
   ref.hv->engine().run_until(sim::Time::seconds(0.1));
   EXPECT_EQ(fast.server->served(), ref.server->served());
-  EXPECT_EQ(fast.server->pending(), ref.server->pending());
+  EXPECT_EQ(fast.server->queued(), ref.server->queued());
   EXPECT_EQ(fast.server->latency_hist().digest(),
             ref.server->latency_hist().digest())
       << "bulk submit changed a wake time or sojourn";

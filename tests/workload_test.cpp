@@ -172,7 +172,7 @@ TEST_F(ServerTest, ServesSubmittedRequests) {
   hv_->engine().run_until(sim::Time::sec(5));
   EXPECT_EQ(server.served(), 100u);
   EXPECT_EQ(notified, 100u);
-  EXPECT_EQ(server.pending(), 0);
+  EXPECT_EQ(server.queued(), 0);
 }
 
 TEST_F(ServerTest, WorkersBlockWhenIdle) {
