@@ -64,6 +64,7 @@ int main(int argc, char** argv) {
           cli, "Ablation: Section VI extensions (dynamic bounds, page"
                " migration)"))
     return 0;
+  cli.require_known({}, runner::kBenchFlagKeys);
   const runner::BenchFlags flags = runner::parse_bench_flags(cli);
   bench::print_header(
       "Ablation: Section VI extensions (dynamic bounds, page migration)",

@@ -125,6 +125,7 @@ int main(int argc, char** argv) {
           "  --smoke             tiny run, exit nonzero on invariant trouble\n")) {
     return 0;
   }
+  cli.require_known({"smoke"}, runner::kBenchFlagKeys);
   runner::BenchFlags flags = runner::parse_bench_flags(cli, 0.05);
   if (cli.has("smoke")) flags.config.instr_scale = 0.01;
 

@@ -14,6 +14,7 @@ int main(int argc, char** argv) {
           cli, "Comparators: the paper's five schedulers + AutoNUMA-style"
                " balancing"))
     return 0;
+  cli.require_known({}, runner::kBenchFlagKeys);
   const runner::BenchFlags flags = runner::parse_bench_flags(cli);
   bench::print_header(
       "Comparators: the paper's five schedulers + AutoNUMA-style balancing",

@@ -42,6 +42,7 @@
 #include "perf/contention.hpp"
 #include "perf/cost_model.hpp"
 #include "pmu/counters.hpp"
+#include "runner/cli.hpp"
 #include "sim/time.hpp"
 
 namespace {
@@ -546,7 +547,9 @@ void print_scenario(const Scenario& sc, bool first) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  const vprobe::runner::Cli cli(argc, argv);
+  cli.require_known({"smoke"});
+  const bool smoke = cli.has("smoke");
   const int steps = smoke ? 100'000 : 600'000;
   const MachineConfig cfg = MachineConfig::xeon_e5620();
 

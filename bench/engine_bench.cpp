@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "runner/cli.hpp"
 #include "sim/time.hpp"
 
 // ------------------------------------------------- allocation accounting ----
@@ -205,7 +206,9 @@ void print_result(const char* name, const BenchResult& r, std::uint64_t expected
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  const vprobe::runner::Cli cli(argc, argv);
+  cli.require_known({"smoke"});
+  const bool smoke = cli.has("smoke");
   const int n = smoke ? 20'000 : 100'000;
   const int rounds = smoke ? 3 : 6;
   const int timers = 8;

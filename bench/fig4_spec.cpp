@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
           "  --check          verify the paper's qualitative claims (exit 1 on"
           " failure)"))
     return 0;
+  cli.require_known({"check"}, runner::kBenchFlagKeys);
   const runner::BenchFlags flags = runner::parse_bench_flags(cli);
   bench::print_header("Figure 4: SPEC CPU2006 under five VCPU schedulers",
                       flags);

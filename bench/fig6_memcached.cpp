@@ -12,6 +12,7 @@ int main(int argc, char** argv) {
           "  --ops N          total memcached operations per run (default"
           " 150000)"))
     return 0;
+  cli.require_known({"ops"}, runner::kBenchFlagKeys);
   const runner::BenchFlags flags = runner::parse_bench_flags(cli);
   const auto total_ops = static_cast<std::uint64_t>(cli.get_u64("ops", 150'000));
   bench::print_header("Figure 6: Memcached vs concurrent calls", flags);

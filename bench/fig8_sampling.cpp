@@ -11,6 +11,7 @@ int main(int argc, char** argv) {
   if (runner::maybe_print_help(
           cli, "Figure 8: workload mix runtime vs vProbe sampling period"))
     return 0;
+  cli.require_known({}, runner::kBenchFlagKeys);
   const runner::BenchFlags flags = runner::parse_bench_flags(cli);
   bench::print_header(
       "Figure 8: workload mix runtime vs vProbe sampling period", flags);

@@ -16,10 +16,16 @@
 // us/record (the normalized cost) and the batched loop's coalescing
 // counters; the sharded digest must match the serial one.
 //
+// Every sharded row prints its equal-time control/host ties as
+// "touched/all" (cluster::SyncStats), and a row whose digest diverged names
+// its first touched tie: the likely first divergent record (docs/PDES.md).
+//
 // --smoke gates (exit nonzero on violation):
 //   * serial (threads=1) and sharded (threads=4) runs of the 8-host fleet
 //     produce bit-identical fleet digests and record counts;
 //   * the batch-off (unbatched-window) run reproduces the same digest;
+//   * no equal-time control/host tie on that fleet is touched (its control
+//     events record nothing on the tied host), in either window loop;
 //   * zero FleetCheck invariant violations on every shard;
 //   * the scripted live migration completes under the synchronizer after
 //     at least one pre-copy round;
@@ -40,6 +46,7 @@
 // machines that have the cores (see BENCH_pdes.json).
 #include <chrono>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -168,6 +175,21 @@ PdesResult run_fleet(int num_hosts, int sim_threads, std::uint64_t seed,
   return out;
 }
 
+/// Equal-time control/host ties of a sharded run as "touched/all": touched
+/// ties are those whose control events acted on the tied host.
+std::string ties(const cluster::SyncStats& sync) {
+  return std::to_string(sync.touched_ties) + "/" +
+         std::to_string(sync.equal_time_ties);
+}
+
+/// The first touched tie of a sharded run, the usual suspect when its digest
+/// diverges (docs/PDES.md, fact 2).
+std::string first_tie(const cluster::SyncStats& sync) {
+  if (sync.first_tie_host < 0) return "(no touched tie)";
+  return "(first touched tie: host " + std::to_string(sync.first_tie_host) +
+         " at " + std::to_string(sync.first_tie_at.nanos()) + " ns)";
+}
+
 /// Bound for the smoke's events-per-record gate.  At the default seed (7)
 /// the serial fleet runs 6.52 events/record with one event per poked PCPU
 /// and 2.21 with one event per tickle.
@@ -202,6 +224,8 @@ int smoke(std::uint64_t seed) {
        "--sim-threads 4 is bit-identical to --sim-threads 1 (fleet digest)");
   gate(unbatched.digest == serial.digest && unbatched.records == serial.records,
        "--no-window-batch is bit-identical too (batched == unbatched loop)");
+  gate(sharded.sync.touched_ties == 0 && unbatched.sync.touched_ties == 0,
+       "no equal-time control/host tie acts on its host (docs/PDES.md)");
   gate(dense.digest == dense_serial.digest &&
            dense.records == dense_serial.records,
        "control-heavy fleet: sharded digest matches serial");
@@ -245,6 +269,7 @@ int main(int argc, char** argv) {
           "  --max-threads N     largest shard count swept (default 8)\n")) {
     return 0;
   }
+  cli.require_known({"seed", "smoke", "horizon", "max-threads"});
   const std::uint64_t seed = cli.get_u64("seed", 7);
   if (cli.has("smoke")) return smoke(seed);
 
@@ -260,9 +285,9 @@ int main(int argc, char** argv) {
 
   const PdesResult base = run_fleet(8, 1, seed, horizon);
   stats::Table strong({"threads", "wall (ms)", "speedup", "records",
-                       "coalesced", "barriers", "digest ok"});
+                       "coalesced", "barriers", "ties", "digest ok"});
   strong.add_row({"1", stats::fmt(base.wall_ms, "%.1f"), "1.00",
-                  std::to_string(base.records), "-", "-", "ref"});
+                  std::to_string(base.records), "-", "-", "-", "ref"});
   bool all_identical = true;
   auto strong_row = [&](const char* label, const PdesResult& r) {
     const bool same = r.digest == base.digest && r.records == base.records;
@@ -272,7 +297,9 @@ int main(int argc, char** argv) {
                                "%.2f"),
                     std::to_string(r.records),
                     std::to_string(r.sync.windows_coalesced),
-                    std::to_string(r.sync.barriers), same ? "yes" : "NO"});
+                    std::to_string(r.sync.barriers),
+                    ties(r.sync),
+                    same ? "yes" : "NO " + first_tie(r.sync)});
   };
   for (int t = 2; t <= max_threads; t *= 2) {
     strong_row(std::to_string(t).c_str(), run_fleet(8, t, seed, horizon));
@@ -289,7 +316,7 @@ int main(int argc, char** argv) {
   std::printf("=============================================================\n\n");
   stats::Table weak({"hosts=threads", "serial ms", "serial us/rec",
                      "wall (ms)", "records", "us/record", "coalesced",
-                     "barriers", "skips", "digest"});
+                     "barriers", "skips", "ties", "digest"});
   for (int n = 1; n <= max_threads; n *= 2) {
     const PdesResult serial = run_fleet(n, 1, seed, horizon);
     const PdesResult r = run_fleet(n, n, seed, horizon);
@@ -302,7 +329,9 @@ int main(int argc, char** argv) {
                   std::to_string(r.sync.windows_coalesced),
                   std::to_string(r.sync.barriers),
                   std::to_string(r.sync.shard_skips),
-                  same ? trace::digest_hex(r.digest) : "DIVERGED"});
+                  ties(r.sync),
+                  same ? trace::digest_hex(r.digest)
+                       : "DIVERGED " + first_tie(r.sync)});
   }
   weak.print();
 

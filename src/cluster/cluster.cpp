@@ -155,9 +155,15 @@ std::size_t Cluster::run_until_batched(sim::Time deadline) {
         refresh(id);
       });
     }
-    const std::size_t fired = engine_.run_until(coupling);
-    sync_.control_events += fired;
-    ran[0] += fired;
+    for (std::size_t id = 0; id < n; ++id) {
+      // A cached horizon at the coupling point may be stale-low; only a
+      // fresh peek confirms the tie.
+      if (horizons_[id].next == coupling) {
+        refresh(id);
+        note_tie(id, horizons_[id].next, coupling);
+      }
+    }
+    ran[0] += fire_control(coupling);
   }
   // No control events remain at or before the deadline; finish the busy
   // hosts inclusively so events exactly at `deadline` fire, like the serial
@@ -204,9 +210,10 @@ std::size_t Cluster::run_until_unbatched(sim::Time deadline) {
       ran[static_cast<std::size_t>(id)] +=
           shard_engines_[static_cast<std::size_t>(id)]->run_before(coupling);
     });
-    const std::size_t fired = engine_.run_until(coupling);
-    sync_.control_events += fired;
-    ran[0] += fired;
+    for (std::size_t id = 0; id < static_cast<std::size_t>(n); ++id) {
+      note_tie(id, shard_engines_[id]->next_event_time(), coupling);
+    }
+    ran[0] += fire_control(coupling);
   }
   // No control events remain at or before the deadline; finish the hosts
   // inclusively so events exactly at `deadline` fire, like the serial
@@ -221,6 +228,26 @@ std::size_t Cluster::run_until_unbatched(sim::Time deadline) {
   std::size_t total = 0;
   for (std::size_t c : ran) total += c;
   return total;
+}
+
+void Cluster::note_tie(std::size_t id, sim::Time next, sim::Time coupling) {
+  if (next != coupling) return;
+  ++sync_.equal_time_ties;
+  ties_.emplace_back(id, tracers_[id]->total_recorded());
+}
+
+std::size_t Cluster::fire_control(sim::Time coupling) {
+  const std::size_t fired = engine_.run_until(coupling);
+  sync_.control_events += fired;
+  for (const auto& [id, records] : ties_) {
+    if (tracers_[id]->total_recorded() == records) continue;
+    if (sync_.touched_ties++ == 0) {
+      sync_.first_tie_host = static_cast<int>(id);
+      sync_.first_tie_at = coupling;
+    }
+  }
+  ties_.clear();
+  return fired;
 }
 
 SyncStats Cluster::sync_stats() const {

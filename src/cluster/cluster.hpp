@@ -34,6 +34,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/placement.hpp"
@@ -133,6 +134,17 @@ struct SyncStats {
   std::uint64_t pool_wakeups = 0;       ///< condvar notifies to parked workers
   std::uint64_t pool_spin_grabs = 0;    ///< batches a worker joined by spinning
   std::uint64_t pool_parks = 0;         ///< times a worker parked after spinning
+  /// Equal-time control/host pairs (docs/PDES.md, fact 2): a shard whose
+  /// next event is exactly at a coupling point.  The synchronizer fires it
+  /// after that point's control events; the serial engine orders the pair
+  /// by arming order.  Diagnostics only, kept out of ClusterMetrics and its
+  /// JSON (the perf suite digests that JSON).
+  std::uint64_t equal_time_ties = 0;
+  /// The ties whose control events recorded trace events on the tied host,
+  /// i.e. acted on it: the ones whose order can show in its trace.
+  std::uint64_t touched_ties = 0;
+  int first_tie_host = -1;  ///< host of the first touched tie (-1: none)
+  sim::Time first_tie_at;   ///< coupling time of the first touched tie
 };
 
 class Cluster {
@@ -284,6 +296,12 @@ class Cluster {
   const Vm* find_vm(int vm_id) const;
   std::size_t run_until_batched(sim::Time deadline);
   std::size_t run_until_unbatched(sim::Time deadline);
+  /// Count shard `id` into the equal-time ties if its next event is at
+  /// `coupling`.  Call with the workers quiescent, after the shard pass.
+  void note_tie(std::size_t id, sim::Time next, sim::Time coupling);
+  /// Fire the control events at `coupling` and count the ties noted for it
+  /// whose host they touched.  Returns the events fired.
+  std::size_t fire_control(sim::Time coupling);
   std::int64_t chunks_on(int host_id, std::int64_t mem_bytes) const;
   void run_precopy_round(int vm_id);
   void begin_cutover(int vm_id, double dirty_bytes);
@@ -304,6 +322,9 @@ class Cluster {
   std::unique_ptr<ShardPool> pool_;  ///< built on first sharded run_until
   int sim_threads_ = 1;
   std::vector<ShardHorizon> horizons_;  ///< per-shard, batched mode only
+  /// Shards tied at the current coupling point, with their hosts' trace
+  /// record counts.
+  std::vector<std::pair<std::size_t, std::uint64_t>> ties_;
   SyncStats sync_;
   std::vector<std::unique_ptr<hv::Hypervisor>> hosts_;
   std::vector<std::string> host_names_;

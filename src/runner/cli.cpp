@@ -124,10 +124,12 @@ std::uint64_t Cli::get_u64(const std::string& key, std::uint64_t fallback) const
 
 bool Cli::help_requested() const { return has("help"); }
 
-void Cli::require_known(std::initializer_list<std::string_view> known) const {
+void Cli::require_known(std::initializer_list<std::string_view> known,
+                        std::span<const std::string_view> also) const {
   for (const auto& [key, value] : options_) {
     if (key == "help" ||
-        std::find(known.begin(), known.end(), key) != known.end()) {
+        std::find(known.begin(), known.end(), key) != known.end() ||
+        std::find(also.begin(), also.end(), key) != also.end()) {
       continue;
     }
     std::fprintf(stderr, "%s: unknown flag --%s (see --help)\n",

@@ -14,6 +14,7 @@
 #include <initializer_list>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,10 +44,13 @@ class Cli {
   /// True when --help (or -h) was given.
   bool help_requested() const;
 
-  /// Strict flag set: a given flag not in `known` (--help always is) is a
-  /// usage error, so this prints it to stderr and exits 2.  Without the
-  /// check a misspelt flag such as --no-lazy-arrival is silently ignored.
-  void require_known(std::initializer_list<std::string_view> known) const;
+  /// Strict flag set: a given flag in neither `known` nor `also` (--help
+  /// always is) is a usage error, so this prints it to stderr and exits 2.
+  /// Without the check a misspelt flag such as --no-lazy-arrival is
+  /// silently ignored.  Binaries that read the standard flags pass
+  /// kBenchFlagKeys as `also`.
+  void require_known(std::initializer_list<std::string_view> known,
+                     std::span<const std::string_view> also = {}) const;
 
  private:
   [[noreturn]] void reject(const std::string& key, const std::string& value,
@@ -55,6 +59,12 @@ class Cli {
   std::string program_;
   std::map<std::string, std::string> options_;
   std::vector<std::string> positional_;
+};
+
+/// The flags parse_bench_flags() reads.
+inline constexpr std::string_view kBenchFlagKeys[] = {
+    "jobs",  "repeats", "seed",   "scale",  "instr-scale",
+    "sched", "json",    "period", "checks", "no-rate-cache",
 };
 
 /// The standard flags shared by the bench binaries and examples.

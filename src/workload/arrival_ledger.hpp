@@ -2,25 +2,33 @@
 // "Lazy arrival delivery").
 //
 // ArrivalLedger is the per-worker FIFO of (arrival time, request count)
-// records that latency accounting drains in order.  Records are 8-byte words
-// in a singly linked list of 4 KB chunks:
+// records that latency accounting drains in order.  Records are streams of
+// 16-bit units in a singly linked list of 4 KB chunks:
 //
-//   count == 1   one word: the arrival time in nanoseconds (simulated time
-//                is never negative, so the top bit is clear);
-//   count  > 1   a marker word (top bit set, low bits = count) followed by
-//                the arrival time.
+//   delta    one unit (top bit clear): a count-1 record arriving 0..32767 ns
+//            after the previous record;
+//   escape   a marker unit (top bit set), then the full int count (2 units)
+//            and the absolute arrival time in nanoseconds (4 units): every
+//            other record — count > 1, a longer gap, a time earlier than the
+//            previous record's, and the first record.
 //
-// A backlogged request therefore costs 8 B.  Consuming part of a record
-// rewrites its marker in place, so the drain sees exactly the (when, count)
-// sequence a std::deque<std::pair<Time, int>> would hold.
+// The push side and the consume side each keep the previous record's time,
+// so a delta decodes against the record drained just before it.  At the
+// 1M-rps serving rate a worker sees an arrival every ~16 us, so nearly every
+// backlogged request costs 2 B.  Consuming part of an escape rewrites only
+// its count, so the drain sees exactly the (when, count) sequence a
+// std::deque<std::pair<Time, int>> would hold.
 //
+// A record never straddles a chunk: an escape that does not fit in the tail
+// chunk opens the next one, and each chunk stores how many units it used.
 // Chunks are allocated on the first push past a full tail, never up front.
 // A drained head chunk is kept as the one spare when the ledger is down to a
 // single chunk (a small FIFO oscillating across a chunk boundary then never
-// touches the allocator) and freed otherwise.  A ledger of W words thus holds
-// at most max(2, ceil((W + kChunkWords - 1) / kChunkWords)) chunks: the live
-// words plus the consumed prefix of the head chunk and the free suffix of the
-// tail chunk.
+// touches the allocator) and freed otherwise.  Every chunk but the tail
+// leaves at most kEscapeUnits - 1 units unused, so with K = kChunkUnits -
+// kEscapeUnits + 1 a ledger of U live units holds at most
+// max(2, floor((U + 2K - 2) / K)) chunks: the live units plus the consumed
+// prefix of the head chunk and the free suffix of the tail chunk.
 //
 // ProjectionRing holds a server's projected (not yet delivered) arrivals: a
 // power-of-two ring with O(1) push and pop at both ends, allocated on the
@@ -31,6 +39,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -41,9 +50,14 @@ namespace vprobe::wl {
 class ArrivalLedger {
  public:
   static constexpr std::size_t kChunkBytes = 4096;
-  /// Record words per chunk: the chunk minus its link pointer.
-  static constexpr std::size_t kChunkWords =
-      kChunkBytes / sizeof(std::uint64_t) - 1;
+  /// Record units per chunk: the chunk minus its link and its used count.
+  static constexpr std::size_t kChunkUnits =
+      (kChunkBytes - sizeof(void*) - sizeof(std::uint16_t)) /
+      sizeof(std::uint16_t);
+  /// Units in an escape record: marker, int count, 64-bit time.
+  static constexpr std::size_t kEscapeUnits = 1 + 2 + 4;
+  /// Largest gap a one-unit record can hold.
+  static constexpr std::int64_t kMaxDelta = 0x7fff;
 
   ArrivalLedger() = default;
   ~ArrivalLedger() {
@@ -62,9 +76,18 @@ class ArrivalLedger {
   /// Append `count` (>= 1) requests that arrived at `when` (>= 0).
   void push(sim::Time when, int count) {
     assert(count >= 1 && !when.is_negative());
-    if (count != 1) push_word(kMarker | static_cast<std::uint64_t>(count));
-    push_word(static_cast<std::uint64_t>(when.nanos()));
+    const std::int64_t t = when.nanos();
+    const std::int64_t delta = t - pushed_;
+    pushed_ = t;
     requests_ += count;
+    if (count == 1 && delta >= 0 && delta <= kMaxDelta) {
+      reserve(1)[0] = static_cast<std::uint16_t>(delta);
+      return;
+    }
+    std::uint16_t* u = reserve(kEscapeUnits);
+    u[0] = kMarker;
+    std::memcpy(u + 1, &count, sizeof count);
+    std::memcpy(u + 3, &t, sizeof t);
   }
 
   /// Consume up to `n` requests oldest first, calling f(when, used) once per
@@ -73,64 +96,64 @@ class ArrivalLedger {
   /// dry).
   template <class F>
   int consume(int n, F&& f) {
-    while (n > 0 && words_ != 0) {
-      const std::uint64_t w = head_->word[head_pos_];
-      if ((w & kMarker) == 0) {
-        f(time_of(w), 1);
+    while (n > 0 && requests_ != 0) {
+      std::uint16_t* u = head_->unit + head_pos_;
+      if ((u[0] & kMarker) == 0) {
+        consumed_ += u[0];
+        f(sim::Time::ns(consumed_), 1);
         --n;
         --requests_;
-        pop_word();
+        pop(1);
         continue;
       }
-      const int count = static_cast<int>(w & ~kMarker);
+      int count = 0;
+      std::memcpy(&count, u + 1, sizeof count);
+      std::memcpy(&consumed_, u + 3, sizeof consumed_);
       const int used = std::min(count, n);
-      f(time_of(word_after_head()), used);
+      f(sim::Time::ns(consumed_), used);
       n -= used;
       requests_ -= used;
       if (used < count) {
-        head_->word[head_pos_] = kMarker | static_cast<std::uint64_t>(count - used);
+        count -= used;
+        std::memcpy(u + 1, &count, sizeof count);
       } else {
-        pop_word();
-        pop_word();
+        pop(kEscapeUnits);
       }
     }
     return n;
   }
 
  private:
-  static constexpr std::uint64_t kMarker = 1ull << 63;
+  static constexpr std::uint16_t kMarker = 0x8000;
 
   struct Chunk {
     Chunk* next;
-    std::uint64_t word[kChunkWords];
+    /// Units holding records; kChunkUnits until the chunk is sealed by the
+    /// next grow().
+    std::uint16_t used;
+    std::uint16_t unit[kChunkUnits];
   };
   static_assert(sizeof(Chunk) == kChunkBytes);
-
-  static sim::Time time_of(std::uint64_t w) {
-    return sim::Time::ns(static_cast<std::int64_t>(w));
-  }
+  static_assert(kMaxDelta < kMarker);
 
   static void free_chain(Chunk* c) {
     while (c != nullptr) delete std::exchange(c, c->next);
   }
 
-  /// The word after the head word (a marker's timestamp), which may open
-  /// the next chunk.
-  std::uint64_t word_after_head() const {
-    return head_pos_ + 1 < kChunkWords ? head_->word[head_pos_ + 1]
-                                       : head_->next->word[0];
-  }
-
-  void push_word(std::uint64_t w) {
-    if (tail_pos_ == kChunkWords) grow();
-    tail_->word[tail_pos_++] = w;
-    ++words_;
+  /// Room for one record of `units` units at the tail.
+  std::uint16_t* reserve(std::size_t units) {
+    if (tail_pos_ + units > kChunkUnits) grow();
+    std::uint16_t* u = tail_->unit + tail_pos_;
+    tail_pos_ += units;
+    return u;
   }
 
   void grow() {
     Chunk* c = spare_ != nullptr ? std::exchange(spare_, nullptr) : new_chunk();
     c->next = nullptr;
+    c->used = kChunkUnits;
     if (tail_ != nullptr) {
+      tail_->used = static_cast<std::uint16_t>(tail_pos_);
       tail_->next = c;
     } else {
       head_ = c;
@@ -144,14 +167,16 @@ class ArrivalLedger {
     return new Chunk;
   }
 
-  void pop_word() {
-    if (--words_ == 0) {
+  /// Drop the fully consumed head record of `units` units.
+  void pop(std::size_t units) {
+    if (requests_ == 0) {
       // Drained: head and tail share one chunk; restart it from the top.
       head_pos_ = 0;
       tail_pos_ = 0;
       return;
     }
-    if (++head_pos_ < kChunkWords) return;
+    head_pos_ += units;
+    if (head_pos_ < head_->used) return;
     Chunk* done = std::exchange(head_, head_->next);
     head_pos_ = 0;
     if (spare_ == nullptr && head_ == tail_) {
@@ -165,9 +190,12 @@ class ArrivalLedger {
   Chunk* head_ = nullptr;
   Chunk* tail_ = nullptr;
   Chunk* spare_ = nullptr;
-  std::size_t head_pos_ = 0;            ///< next word to read in head_
-  std::size_t tail_pos_ = kChunkWords;  ///< next free word in tail_ (full: grow)
-  std::size_t words_ = 0;
+  std::size_t head_pos_ = 0;            ///< next unit to read in head_
+  std::size_t tail_pos_ = kChunkUnits;  ///< next free unit in tail_ (full: grow)
+  /// Time of the last record pushed; the initial value makes the first
+  /// record an escape, since no time is negative.
+  std::int64_t pushed_ = -kMaxDelta - 1;
+  std::int64_t consumed_ = 0;  ///< time of the last record consumed
   std::int64_t requests_ = 0;
   std::size_t chunks_ = 0;
 };

@@ -163,6 +163,7 @@ struct FleetRun {
   std::uint64_t violations = 0;
   std::vector<std::uint64_t> host_digests;
   std::vector<double> host_busy_s;
+  cluster::SyncStats sync;  ///< diagnostics, not compared
 
   bool operator==(const FleetRun& o) const {
     return digest == o.digest && records == o.records &&
@@ -248,6 +249,7 @@ FleetRun run_fleet(runner::SchedKind sched, std::uint64_t seed, int num_hosts,
   out.migrated_bytes = fleet.migrated_bytes();
   out.balance_actions = fleet.balance_actions();
   out.violations = check.total_violations();
+  out.sync = fleet.sync_stats();
   return out;
 }
 
@@ -302,6 +304,51 @@ TEST(PdesDifferential, ShardedRunsAreReproducible) {
   const FleetRun a = run_fleet(runner::SchedKind::kCredit, 3, 4, 4);
   const FleetRun b = run_fleet(runner::SchedKind::kCredit, 3, 4, 4);
   EXPECT_TRUE(a == b) << "back-to-back sharded runs must be bit-identical";
+}
+
+// -- Equal-time control/host ties ------------------------------------------------
+
+TEST(PdesTies, MigrationCompletionTieIsCountedInBothLoops) {
+  // The shortest known reproducer of a sharded/serial divergence (ROADMAP
+  // item 3, docs/PDES.md fact 2).  At seed 41 the balancer moves ticker0
+  // to host 1 at 150 ms and back at 300 ms; both pre-copies take the same
+  // 108.8 ms.  The first arrival reschedules a host-1 PCPU, whose 30 ms
+  // Credit slices then stay phase-locked to it, so the second completion
+  // (408,815,334 ns, one 150 ms balancer period later) lands exactly on a
+  // slice end.  Serial order fires the slice end before the retire of the
+  // source domain; the synchronizer fires the control event first, and
+  // host 1's trace diverges there.  Both window loops must count the tie
+  // and name it.
+  const FleetRun serial = run_fleet(runner::SchedKind::kCredit, 41, 2, 1);
+  const FleetRun batched = run_fleet(runner::SchedKind::kCredit, 41, 2, 2,
+                                     /*window_batch=*/true);
+  const FleetRun unbatched = run_fleet(runner::SchedKind::kCredit, 41, 2, 2,
+                                       /*window_batch=*/false);
+  for (const FleetRun* run : {&batched, &unbatched}) {
+    EXPECT_GT(run->sync.touched_ties, 0u);
+    EXPECT_GE(run->sync.equal_time_ties, run->sync.touched_ties);
+    EXPECT_EQ(run->sync.first_tie_host, 1);
+    EXPECT_EQ(run->sync.first_tie_at, sim::Time::ns(408'815'334));
+  }
+  EXPECT_EQ(batched.sync.touched_ties, unbatched.sync.touched_ties);
+  EXPECT_EQ(batched.sync.equal_time_ties, unbatched.sync.equal_time_ties);
+  EXPECT_EQ(serial.sync.equal_time_ties, 0u) << "serial runs count nothing";
+  // The known divergence itself.  When equal-time order is enforced, this
+  // becomes EXPECT_EQ and joins the differential sweep.
+  EXPECT_NE(batched.digest, serial.digest);
+}
+
+TEST(PdesTies, SmokeFleetTiesOnlyOnTheGridAndUntouched) {
+  // The differential sweep's fleet ties often: the churn start, the
+  // balancer and the scripted migration fire on the 10 ms PCPU tick grid.
+  // None of those control events acts on the tied host, so no tie is
+  // touched and the sharded run equals the serial one.
+  const FleetRun serial = run_fleet(runner::SchedKind::kCredit, 7, 4, 1);
+  const FleetRun sharded = run_fleet(runner::SchedKind::kCredit, 7, 4, 4);
+  EXPECT_GT(sharded.sync.equal_time_ties, 0u);
+  EXPECT_EQ(sharded.sync.touched_ties, 0u);
+  EXPECT_EQ(sharded.sync.first_tie_host, -1);
+  EXPECT_TRUE(sharded == serial);
 }
 
 // -- Batched synchronizer mechanics ---------------------------------------------

@@ -25,6 +25,7 @@
 #include <cstdlib>
 #include <deque>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <numbers>
 #include <sstream>
@@ -377,11 +378,12 @@ TEST(LazyArrivals, SaturatedHighRateRunCoalescesMostArrivals) {
   EXPECT_GT(lazy.coalesced, 0u);
   EXPECT_LE(lazy.events * 5, eager.events)
       << "lazy delivery must pay at least 5x fewer arrival events";
-  // The backlog is held in the compact ledger: 8 B per queued request plus
-  // at most two partly used chunks per worker (docs/SERVING.md).
+  // The backlog is held in the compact ledger: at most 3 B per queued
+  // request (nearly every record is a 2 B delta) plus at most two partly
+  // used chunks per worker (docs/SERVING.md).
   ASSERT_GT(lazy.ledger_requests, 10000);
   EXPECT_LE(lazy.ledger_bytes,
-            8 * static_cast<std::size_t>(lazy.ledger_requests) +
+            3 * static_cast<std::size_t>(lazy.ledger_requests) +
                 2 * wl::ArrivalLedger::kChunkBytes *
                     static_cast<std::size_t>(lazy.workers));
   EXPECT_EQ(lazy.ledger_bytes, eager.ledger_bytes);
@@ -427,71 +429,152 @@ TEST(LazyArrivals, DirectSubmitsMixWithLazyProjections) {
 
 // -- The arrival ledger ---------------------------------------------------------
 
-/// The chunk bound documented in workload/arrival_ledger.hpp.
-std::size_t ledger_chunk_bound(std::size_t words) {
-  constexpr std::size_t k = wl::ArrivalLedger::kChunkWords;
-  return std::max<std::size_t>(2, (words + 2 * k - 2) / k);
+/// The chunk bound documented in workload/arrival_ledger.hpp, for a ledger
+/// of `units` live 16-bit units.
+std::size_t ledger_chunk_bound(std::size_t units) {
+  constexpr std::size_t k = wl::ArrivalLedger::kChunkUnits -
+                            wl::ArrivalLedger::kEscapeUnits + 1;
+  return std::max<std::size_t>(2, (units + 2 * k - 2) / k);
+}
+
+/// The std::deque the ledger replaced, plus each record's size in units
+/// under the documented encoding (one unit for a count-1 record 0..32767 ns
+/// after the previous one, an escape otherwise).
+struct ReferenceLedger {
+  std::deque<std::pair<sim::Time, int>> records;
+  std::deque<std::size_t> record_units;
+  std::int64_t last = -1;
+  std::size_t units = 0;
+  std::int64_t requests = 0;
+
+  void push(std::int64_t t, int count) {
+    const bool delta =
+        count == 1 && last >= 0 && t >= last && t - last <= 32767;
+    last = t;
+    records.emplace_back(sim::Time::ns(t), count);
+    record_units.push_back(delta ? 1 : wl::ArrivalLedger::kEscapeUnits);
+    units += record_units.back();
+    requests += count;
+  }
+
+  /// The (when, used) pairs consume(n) must report; n is left unmatched.
+  std::vector<std::pair<sim::Time, int>> consume(int& n) {
+    std::vector<std::pair<sim::Time, int>> out;
+    while (n > 0 && !records.empty()) {
+      auto& [when, count] = records.front();
+      const int used = std::min(count, n);
+      out.emplace_back(when, used);
+      n -= used;
+      requests -= used;
+      count -= used;
+      if (count == 0) {
+        records.pop_front();
+        units -= record_units.front();
+        record_units.pop_front();
+      }
+    }
+    return out;
+  }
+};
+
+/// Consume n from both and require identical reports.
+void expect_consume_matches(wl::ArrivalLedger& ledger, ReferenceLedger& ref,
+                            int n) {
+  std::vector<std::pair<sim::Time, int>> got;
+  const int left = ledger.consume(
+      n, [&](sim::Time when, int used) { got.emplace_back(when, used); });
+  ASSERT_EQ(got, ref.consume(n));
+  ASSERT_EQ(left, n);
+  ASSERT_EQ(ledger.requests(), ref.requests);
 }
 
 TEST(ArrivalLedger, MatchesADequeReferenceModel) {
-  // Random pushes of 1..40 requests and random partial consumes, in fill
-  // and drain phases so the ledger crosses many chunk boundaries (a marker
-  // and its timestamp split across two chunks included), checked record
-  // for record against the std::deque the ledger replaced.  The reference
-  // also tracks each record's word size to check the chunk bound.
+  // Random pushes and random partial consumes, in fill and drain phases so
+  // the ledger crosses many chunk boundaries, checked record for record
+  // against the std::deque the ledger replaced.  Gaps straddle the one-unit
+  // limit (32767 / 32768 ns and beyond), repeat a time, or go back in time;
+  // counts run from 1 to past 32767, and some consumes are large enough to
+  // drain those.  The reference tracks each record's unit size to check the
+  // chunk bound.
   sim::Rng rng(5);
   wl::ArrivalLedger ledger;
-  std::deque<std::pair<sim::Time, int>> ref;
-  std::deque<std::size_t> ref_words;
+  ReferenceLedger ref;
   std::int64_t t = 0;
-  std::size_t words = 0;
-  std::int64_t requests = 0;
   std::size_t peak_chunks = 0;
   for (int phase = 0; phase < 12; ++phase) {
-    const double push_p = phase % 2 == 0 ? 0.7 : 0.3;
-    for (int step = 0; step < 6000; ++step) {
+    const double push_p = phase % 2 == 0 ? 0.75 : 0.25;
+    for (int step = 0; step < 12000; ++step) {
       if (rng.chance(push_p)) {
-        t += static_cast<std::int64_t>(rng.uniform_int(0, 1000));
-        const int count =
-            rng.chance(0.5) ? 1 : static_cast<int>(rng.uniform_int(1, 40));
-        ledger.push(sim::Time::ns(t), count);
-        ref.emplace_back(sim::Time::ns(t), count);
-        ref_words.push_back(count == 1 ? 1 : 2);
-        words += ref_words.back();
-        requests += count;
-      } else {
-        int n = static_cast<int>(rng.uniform_int(1, 20));
-        std::vector<std::pair<sim::Time, int>> got;
-        std::vector<std::pair<sim::Time, int>> want;
-        const int left = ledger.consume(
-            n, [&](sim::Time when, int used) { got.emplace_back(when, used); });
-        while (n > 0 && !ref.empty()) {
-          auto& [when, count] = ref.front();
-          const int used = std::min(count, n);
-          want.emplace_back(when, used);
-          n -= used;
-          requests -= used;
-          count -= used;
-          if (count == 0) {
-            ref.pop_front();
-            words -= ref_words.front();
-            ref_words.pop_front();
-          }
+        const double g = rng.uniform();
+        if (g < 0.1) {
+          // an equal time
+        } else if (g < 0.15) {
+          t += rng.chance(0.5) ? 32767 : 32768;
+        } else if (g < 0.2) {
+          t += rng.uniform_int(32769, 5'000'000'000);
+        } else if (g < 0.23) {
+          t = std::max<std::int64_t>(0, t - rng.uniform_int(1, 1000));
+        } else {
+          t += rng.uniform_int(1, 1000);
         }
-        ASSERT_EQ(got, want);
-        ASSERT_EQ(left, n);
+        const double c = rng.uniform();
+        const int count =
+            c < 0.7    ? 1
+            : c < 0.999 ? static_cast<int>(rng.uniform_int(2, 40))
+                        : static_cast<int>(rng.uniform_int(32768, 40000));
+        ledger.push(sim::Time::ns(t), count);
+        ref.push(t, count);
+      } else {
+        const int n = rng.chance(0.005)
+                          ? static_cast<int>(rng.uniform_int(1, 50000))
+                          : static_cast<int>(rng.uniform_int(1, 6));
+        expect_consume_matches(ledger, ref, n);
       }
-      ASSERT_EQ(ledger.requests(), requests);
-      ASSERT_LE(ledger.chunks(), ledger_chunk_bound(words)) << words;
+      ASSERT_EQ(ledger.requests(), ref.requests);
+      ASSERT_LE(ledger.chunks(), ledger_chunk_bound(ref.units)) << ref.units;
       peak_chunks = std::max(peak_chunks, ledger.chunks());
     }
   }
+  expect_consume_matches(ledger, ref, std::numeric_limits<int>::max());
+  EXPECT_EQ(ledger.requests(), 0);
   EXPECT_GE(peak_chunks, 8u) << "the walk must cross many chunk boundaries";
+
+  // Escapes landing at a chunk end: with 0..7 units left in the first
+  // chunk, an escape opens a second chunk unless all seven fit, and the
+  // records on both sides of the boundary decode unchanged.
+  constexpr auto kUnits =
+      static_cast<int>(wl::ArrivalLedger::kChunkUnits);
+  constexpr auto kEscape =
+      static_cast<int>(wl::ArrivalLedger::kEscapeUnits);
+  for (int left = 0; left <= kEscape; ++left) {
+    wl::ArrivalLedger edge;
+    ReferenceLedger edge_ref;
+    std::int64_t at = 100;
+    edge.push(sim::Time::ns(at), 3);  // the first record: an escape
+    edge_ref.push(at, 3);
+    for (int u = kEscape; u < kUnits - left; ++u) {
+      at += 7;
+      edge.push(sim::Time::ns(at), 1);
+      edge_ref.push(at, 1);
+    }
+    ASSERT_EQ(edge_ref.units, static_cast<std::size_t>(kUnits - left));
+    ASSERT_EQ(edge.chunks(), 1u);
+    at += 40000;
+    edge.push(sim::Time::ns(at), 1);  // a long gap: an escape
+    edge_ref.push(at, 1);
+    EXPECT_EQ(edge.chunks(), left < kEscape ? 2u : 1u) << left;
+    at += 5;
+    edge.push(sim::Time::ns(at), 1);  // a delta after the boundary
+    edge_ref.push(at, 1);
+    expect_consume_matches(edge, edge_ref, kUnits - left - kEscape + 2);
+    expect_consume_matches(edge, edge_ref, 4);
+    EXPECT_EQ(edge.requests(), 0);
+  }
 }
 
 TEST(ArrivalLedger, ChunksHeldStayFlatOverASteadyDrainAndRefill) {
   // Slab behaviour: once a backlog of ~3 chunks has settled, draining and
-  // refilling 700 requests per round for 2000 rounds never holds more
+  // refilling 2800 requests per round for 2000 rounds never holds more
   // chunks than the first rounds did.
   wl::ArrivalLedger big;
   std::int64_t t = 0;
@@ -499,30 +582,34 @@ TEST(ArrivalLedger, ChunksHeldStayFlatOverASteadyDrainAndRefill) {
     for (int i = 0; i < n; ++i) l.push(sim::Time::ns(++t), 1);
   };
   const auto noop = [](sim::Time, int) {};
-  refill(big, 1500);
+  refill(big, 6000);
   std::size_t settled = 0;
   std::size_t peak = 0;
   for (int round = 0; round < 2000; ++round) {
-    ASSERT_EQ(big.consume(700, noop), 0);
-    refill(big, 700);
+    ASSERT_EQ(big.consume(2800, noop), 0);
+    refill(big, 2800);
     if (round < 20) settled = std::max(settled, big.chunks());
     peak = std::max(peak, big.chunks());
   }
   EXPECT_EQ(peak, settled);
-  EXPECT_LE(peak, ledger_chunk_bound(1500));
-  EXPECT_EQ(big.requests(), 1500);
+  EXPECT_LE(peak, ledger_chunk_bound(6000));
+  EXPECT_EQ(big.requests(), 6000);
 
   // A small ledger oscillating across a chunk boundary keeps its one
-  // spare: two chunks, never a third, however long it runs.
+  // spare: two chunks, never a third, however long it runs.  Its first
+  // record is an escape, the rest one-unit deltas, so it starts one unit
+  // short of a full chunk.
+  constexpr auto kSmall = static_cast<int>(wl::ArrivalLedger::kChunkUnits -
+                                           wl::ArrivalLedger::kEscapeUnits);
   wl::ArrivalLedger small;
-  refill(small, static_cast<int>(wl::ArrivalLedger::kChunkWords) - 1);
+  refill(small, kSmall);
   for (int round = 0; round < 5000; ++round) {
     refill(small, 3);
     ASSERT_EQ(small.consume(3, noop), 0);
     ASSERT_LE(small.chunks(), 2u) << round;
   }
   ASSERT_EQ(small.consume(1 << 20, noop),
-            (1 << 20) - static_cast<int>(wl::ArrivalLedger::kChunkWords) + 1);
+            (1 << 20) - kSmall);
   EXPECT_EQ(small.requests(), 0);
   EXPECT_EQ(small.bytes(), small.chunks() * wl::ArrivalLedger::kChunkBytes);
 }
