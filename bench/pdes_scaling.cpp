@@ -13,7 +13,7 @@
 // the synchronizer's coupling traffic grows with the fleet.  Each row also
 // runs the same fleet serially (threads = 1: the shared-engine cost per
 // host, no synchronizer) next to the sharded run.  Columns include
-// us/record (the normalized cost) and the batched loop's coalescing
+// us/record (the normalized cost) and batched windows' coalescing
 // counters; the sharded digest must match the serial one.
 //
 // Every sharded row prints its equal-time control/host ties as
@@ -33,7 +33,7 @@
 //     with, so churn arrivals actually got in;
 //   * a control-heavy fleet (2 ms churn + 50 ms balancer, the
 //     clustered_control regime) actually coalesces: windows_coalesced > 0
-//     and barriers < control events — the batched loop demonstrably pays
+//     and barriers < control events — batched windows demonstrably pay
 //     fewer shard passes than the control plane fires events;
 //   * the serial 8-host fleet runs at most kMaxEventsPerRecord engine
 //     events per trace record: a wake-up tickle is one engine event however
@@ -87,7 +87,7 @@ struct FleetOptions {
   bool window_batch = true;
   /// Clustered-control regime: churn interarrivals well under the 10 ms
   /// host tick grids plus a tight balancer, so control events outnumber
-  /// host events and the batched loop coalesces (see docs/PDES.md).
+  /// host events and batched windows coalesce (see docs/PDES.md).
   bool control_heavy = false;
 };
 
@@ -223,7 +223,7 @@ int smoke(std::uint64_t seed) {
   gate(sharded.digest == serial.digest && sharded.records == serial.records,
        "--sim-threads 4 is bit-identical to --sim-threads 1 (fleet digest)");
   gate(unbatched.digest == serial.digest && unbatched.records == serial.records,
-       "--no-window-batch is bit-identical too (batched == unbatched loop)");
+       "--no-window-batch is bit-identical too (batch on == batch off)");
   gate(sharded.sync.touched_ties == 0 && unbatched.sync.touched_ties == 0,
        "no equal-time control/host tie acts on its host (docs/PDES.md)");
   gate(dense.digest == dense_serial.digest &&

@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
           " --npb) an NPB app\n"
           "  --npb            treat <app> as an NPB workload (4 threads)"))
     return 0;
+  cli.require_known({"npb"}, runner::kBenchFlagKeys);
   const std::string app =
       cli.positional().empty() ? "soplex" : cli.positional().front();
   const bool npb = cli.has("npb");

@@ -83,170 +83,88 @@ void Cluster::start() {
   }
 }
 
+// The synchronizer (docs/PDES.md).  Conservative windows: every shard may
+// safely run to the time of the next control-plane event, because host
+// events never touch another host's state and only control events couple
+// hosts.  Shards drain strictly *below* the coupling point, then the control
+// engine fires everything at it (draining any same-time control cascade), so
+// at equal times control events precede host events.  Worker threads are
+// quiescent whenever control code runs, so control events and callers
+// between run_until() calls see settled host state.
+//
+// Each window peeks every shard's next event time.  Shards with work below
+// the coupling point are dispatched on the pool; the rest are advanced in
+// O(1) from this thread (mandatory: control callbacks call into host code
+// that reads the shard clock and schedules relative events).  A window with
+// no busy shard fires its control events with no barrier at all, so
+// consecutive control events coalesce into one serial burst.  With
+// window_batch off every shard counts as busy: one barrier per window.
 std::size_t Cluster::run_until(sim::Time deadline) {
   if (!sharded()) return engine_.run_until(deadline);
   if (pool_ == nullptr) pool_ = std::make_unique<ShardPool>(sim_threads_);
-  return config_.window_batch ? run_until_batched(deadline)
-                              : run_until_unbatched(deadline);
-}
-
-// Batched demand-driven windows.  Same conservative structure as the
-// unbatched loop — shards drain strictly below the coupling point, then the
-// control engine fires everything at it, so at equal times control events
-// precede host events exactly as serial seq order dictates (docs/PDES.md) —
-// but the shard pass is demand-driven: a cached per-shard horizon decides
-// which shards have work below the coupling point.  Shards without work are
-// advanced in O(1) from this thread (mandatory: control callbacks call into
-// host code that reads the shard clock and schedules relative events), and
-// when *no* shard has work the control event fires with no barrier at all —
-// consecutive control events coalesce into one serial burst.  The cache is
-// sound because arming is the only operation that lowers a true horizon and
-// arming always bumps Engine::arm_count(); firing and cancelling only raise
-// it, making a stale entry stale-low — a harmless no-op dispatch.
-std::size_t Cluster::run_until_batched(sim::Time deadline) {
-  const auto n = static_cast<std::size_t>(num_hosts());
-  if (horizons_.size() != n) horizons_.assign(n, ShardHorizon{});
+  const std::size_t n = shard_engines_.size();
   std::vector<std::size_t> ran(n, 0);
-  std::vector<int> busy;
+  std::vector<std::size_t> busy;
   busy.reserve(n);
 
-  const auto refresh = [this](std::size_t id) {
-    sim::Engine& shard = *shard_engines_[id];
-    horizons_[id].next = shard.next_event_time();
-    horizons_[id].arm_seq = shard.arm_count();
-  };
-  // Collect shards with events below `bound` into busy; advance the rest to
-  // `bound` directly (skip).  Workers are quiescent here, so the refresh is
-  // a plain heap-top peek on the caller's thread.
-  const auto partition = [&](sim::Time bound, bool inclusive) {
+  // One shard pass up to `bound`: exclusive within the loop, inclusive for
+  // the tail so events exactly at `deadline` fire, like the serial
+  // run_until contract.  Returns false when no shard was dispatched.
+  const auto shard_pass = [&](sim::Time bound, bool inclusive) {
     busy.clear();
     for (std::size_t id = 0; id < n; ++id) {
-      if (horizons_[id].arm_seq != shard_engines_[id]->arm_count()) {
-        refresh(id);
-      }
-      const sim::Time next = horizons_[id].next;
-      if (inclusive ? next <= bound : next < bound) {
-        busy.push_back(static_cast<int>(id));
+      sim::Engine& shard = *shard_engines_[id];
+      const sim::Time next = shard.next_event_time();
+      if (!config_.window_batch || (inclusive ? next <= bound : next < bound)) {
+        busy.push_back(id);
       } else {
-        shard_engines_[id]->advance_to(bound);
+        shard.advance_to(bound);
         ++sync_.shard_skips;
       }
     }
+    if (busy.empty()) return false;
+    ++sync_.barriers;
+    sync_.shard_dispatches += busy.size();
+    pool_->parallel_for(static_cast<int>(busy.size()), [&](int bi) {
+      const std::size_t id = busy[static_cast<std::size_t>(bi)];
+      sim::Engine& shard = *shard_engines_[id];
+      ran[id] += inclusive ? shard.run_until(bound) : shard.run_before(bound);
+    });
+    return true;
   };
 
   for (;;) {
     const sim::Time coupling = engine_.next_event_time();
     if (coupling > deadline) break;
     ++sync_.windows;
-    partition(coupling, /*inclusive=*/false);
-    if (busy.empty()) {
-      // Coalesced window: every shard is already parked at the coupling
-      // point, so the control event fires back-to-back with the previous
-      // one — no pool barrier, no wakeups.
-      ++sync_.windows_coalesced;
-    } else {
-      ++sync_.barriers;
-      sync_.shard_dispatches += busy.size();
-      pool_->parallel_for(static_cast<int>(busy.size()), [&](int bi) {
-        const auto id = static_cast<std::size_t>(busy[static_cast<std::size_t>(bi)]);
-        ran[id] += shard_engines_[id]->run_before(coupling);
-        // Each worker re-peeks its own shard's heap top; the pool barrier
-        // publishes the write before the control thread reads it.
-        refresh(id);
-      });
-    }
-    for (std::size_t id = 0; id < n; ++id) {
-      // A cached horizon at the coupling point may be stale-low; only a
-      // fresh peek confirms the tie.
-      if (horizons_[id].next == coupling) {
-        refresh(id);
-        note_tie(id, horizons_[id].next, coupling);
-      }
-    }
+    if (!shard_pass(coupling, /*inclusive=*/false)) ++sync_.windows_coalesced;
     ran[0] += fire_control(coupling);
   }
-  // No control events remain at or before the deadline; finish the busy
-  // hosts inclusively so events exactly at `deadline` fire, like the serial
-  // run_until contract, and advance the idle ones.
-  partition(deadline, /*inclusive=*/true);
-  if (!busy.empty()) {
-    ++sync_.barriers;
-    sync_.shard_dispatches += busy.size();
-    pool_->parallel_for(static_cast<int>(busy.size()), [&](int bi) {
-      const auto id = static_cast<std::size_t>(busy[static_cast<std::size_t>(bi)]);
-      ran[id] += shard_engines_[id]->run_until(deadline);
-      refresh(id);
-    });
-  }
+  // No control events remain at or before the deadline.
+  shard_pass(deadline, /*inclusive=*/true);
   sync_.control_events += engine_.run_until(deadline);  // clock only; empty
   std::size_t total = 0;
   for (std::size_t c : ran) total += c;
   return total;
-}
-
-// The pre-batching loop (--no-window-batch): one full all-shard barrier per
-// control event.  Kept as the semantic reference for the differential sweep
-// and as the escape hatch; it maintains the same counters so batch-on vs
-// batch-off comparisons quantify the saving.
-std::size_t Cluster::run_until_unbatched(sim::Time deadline) {
-  const int n = num_hosts();
-  std::vector<std::size_t> ran(static_cast<std::size_t>(n), 0);
-  // Conservative windows: every shard may safely run to the time of the
-  // next control-plane event, because host events never touch another
-  // host's state and only control events couple hosts.  Shards drain
-  // strictly *below* the coupling point, then the control engine fires
-  // everything at it (draining any same-time control cascade), so at equal
-  // times control events precede host events — the order the serial path
-  // produces for every systematic collision (docs/PDES.md).  Worker
-  // threads are quiescent whenever control code runs, so control events
-  // and callers between run_until() calls see settled host state.
-  for (;;) {
-    const sim::Time coupling = engine_.next_event_time();
-    if (coupling > deadline) break;
-    ++sync_.windows;
-    ++sync_.barriers;
-    sync_.shard_dispatches += static_cast<std::uint64_t>(n);
-    pool_->parallel_for(n, [&](int id) {
-      ran[static_cast<std::size_t>(id)] +=
-          shard_engines_[static_cast<std::size_t>(id)]->run_before(coupling);
-    });
-    for (std::size_t id = 0; id < static_cast<std::size_t>(n); ++id) {
-      note_tie(id, shard_engines_[id]->next_event_time(), coupling);
-    }
-    ran[0] += fire_control(coupling);
-  }
-  // No control events remain at or before the deadline; finish the hosts
-  // inclusively so events exactly at `deadline` fire, like the serial
-  // run_until contract.
-  ++sync_.barriers;
-  sync_.shard_dispatches += static_cast<std::uint64_t>(n);
-  pool_->parallel_for(n, [&](int id) {
-    ran[static_cast<std::size_t>(id)] +=
-        shard_engines_[static_cast<std::size_t>(id)]->run_until(deadline);
-  });
-  sync_.control_events += engine_.run_until(deadline);  // clock only; empty
-  std::size_t total = 0;
-  for (std::size_t c : ran) total += c;
-  return total;
-}
-
-void Cluster::note_tie(std::size_t id, sim::Time next, sim::Time coupling) {
-  if (next != coupling) return;
-  ++sync_.equal_time_ties;
-  ties_.emplace_back(id, tracers_[id]->total_recorded());
 }
 
 std::size_t Cluster::fire_control(sim::Time coupling) {
+  // Tied shards with their hosts' trace record counts before control fires.
+  std::vector<std::pair<std::size_t, std::uint64_t>> ties;
+  for (std::size_t id = 0; id < shard_engines_.size(); ++id) {
+    if (shard_engines_[id]->next_event_time() != coupling) continue;
+    ++sync_.equal_time_ties;
+    ties.emplace_back(id, tracers_[id]->total_recorded());
+  }
   const std::size_t fired = engine_.run_until(coupling);
   sync_.control_events += fired;
-  for (const auto& [id, records] : ties_) {
+  for (const auto& [id, records] : ties) {
     if (tracers_[id]->total_recorded() == records) continue;
     if (sync_.touched_ties++ == 0) {
       sync_.first_tie_host = static_cast<int>(id);
       sync_.first_tie_at = coupling;
     }
   }
-  ties_.clear();
   return fired;
 }
 
@@ -309,24 +227,16 @@ int Cluster::admit(VmSpec spec) {
     ++rejected_;
     return -1;
   }
-  // Requests are sized per candidate host (chunk size is a host property),
-  // so the selection loop mirrors pick_host() instead of calling it.
-  int best = -1;
-  PlacementScore best_score;
+  // Pinned VMs have one candidate; otherwise every host is one.
   const int first = spec.host >= 0 ? spec.host : 0;
   const int last = spec.host >= 0 ? spec.host : num_hosts() - 1;
+  std::vector<HostSpace> spaces;
+  std::vector<PlacementRequest> reqs;
   for (int id = first; id <= last; ++id) {
-    const PlacementRequest req{chunks_on(id, spec.mem_bytes), spec.vcpus};
-    const PlacementScore s = score_host(host_space(id), req, config_.placement);
-    if (!s.feasible) continue;
-    const bool better =
-        best < 0 || (s.shape_fit && !best_score.shape_fit) ||
-        (s.shape_fit == best_score.shape_fit && s.headroom > best_score.headroom);
-    if (better) {
-      best = id;
-      best_score = s;
-    }
+    spaces.push_back(host_space(id));
+    reqs.push_back({chunks_on(id, spec.mem_bytes), spec.vcpus});
   }
+  const int best = pick_host(spaces, reqs, config_.placement);
   if (best < 0) {
     ++rejected_;
     return -1;

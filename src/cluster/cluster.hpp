@@ -34,7 +34,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cluster/placement.hpp"
@@ -112,18 +111,18 @@ struct Config {
   /// results bit-identical to sim_threads=1 (docs/PDES.md).  <= 0 picks
   /// one thread per hardware core.
   int sim_threads = 1;
-  /// Batched demand-driven windows (docs/PDES.md): coalesce back-to-back
-  /// control events while no shard has work below the coupling point,
-  /// dispatch only busy shards, and advance idle shards' clocks directly
-  /// from the control thread.  false restores the one-barrier-per-control-
-  /// event loop (--no-window-batch); results are bit-identical either way.
+  /// Demand-driven windows (docs/PDES.md): dispatch only the shards with
+  /// work below the coupling point, advance the others' clocks from the
+  /// control thread, and fire control events with no barrier when no shard
+  /// is busy.  false counts every shard as busy, one barrier per window
+  /// (--no-window-batch); results are bit-identical either way.
   bool window_batch = true;
 };
 
 /// Synchronizer counters for a sharded run (all zero in serial mode).
 /// Batch-on and batch-off runs of the same spec produce identical digests
 /// but different counters — that asymmetry is the point: windows_coalesced
-/// and shard_skips measure barriers the batched loop did not pay.
+/// and shard_skips measure barriers that window_batch did not pay.
 struct SyncStats {
   std::uint64_t windows = 0;            ///< coupling points processed
   std::uint64_t windows_coalesced = 0;  ///< windows fired with no shard pass
@@ -281,26 +280,12 @@ class Cluster {
     sim::EventHandle migration_event;
   };
 
-  /// Cached shard horizon for the batched synchronizer: the shard's
-  /// next_event_time() as of arm_count() == arm_seq.  Arming is the only
-  /// operation that lowers the true horizon and it always bumps the arm
-  /// count, so a cache hit can only be stale-low (harmless extra dispatch),
-  /// never stale-high (docs/PDES.md).  arm_seq starts poisoned so the
-  /// first window refreshes every shard.
-  struct ShardHorizon {
-    sim::Time next = sim::Time::zero();
-    std::uint64_t arm_seq = ~0ull;
-  };
-
   Vm* find_vm(int vm_id);
   const Vm* find_vm(int vm_id) const;
-  std::size_t run_until_batched(sim::Time deadline);
-  std::size_t run_until_unbatched(sim::Time deadline);
-  /// Count shard `id` into the equal-time ties if its next event is at
-  /// `coupling`.  Call with the workers quiescent, after the shard pass.
-  void note_tie(std::size_t id, sim::Time next, sim::Time coupling);
-  /// Fire the control events at `coupling` and count the ties noted for it
-  /// whose host they touched.  Returns the events fired.
+  /// Note the shards whose next event is exactly at `coupling` (the
+  /// equal-time ties), fire the control events at `coupling`, and count the
+  /// ties whose host they touched.  Call with the workers quiescent, after
+  /// the shard pass.  Returns the events fired.
   std::size_t fire_control(sim::Time coupling);
   std::int64_t chunks_on(int host_id, std::int64_t mem_bytes) const;
   void run_precopy_round(int vm_id);
@@ -321,10 +306,6 @@ class Cluster {
   std::vector<std::unique_ptr<sim::Engine>> shard_engines_;  ///< per host
   std::unique_ptr<ShardPool> pool_;  ///< built on first sharded run_until
   int sim_threads_ = 1;
-  std::vector<ShardHorizon> horizons_;  ///< per-shard, batched mode only
-  /// Shards tied at the current coupling point, with their hosts' trace
-  /// record counts.
-  std::vector<std::pair<std::size_t, std::uint64_t>> ties_;
   SyncStats sync_;
   std::vector<std::unique_ptr<hv::Hypervisor>> hosts_;
   std::vector<std::string> host_names_;

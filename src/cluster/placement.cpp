@@ -1,6 +1,7 @@
 #include "cluster/placement.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace vprobe::cluster {
 
@@ -80,18 +81,22 @@ PlacementScore score_host(const HostSpace& host, const PlacementRequest& req,
   return score;
 }
 
-int pick_host(std::span<const HostSpace> hosts, const PlacementRequest& req,
+int pick_host(std::span<const HostSpace> hosts,
+              std::span<const PlacementRequest> reqs,
               const PlacementPolicyConfig& cfg) {
+  if (reqs.size() != hosts.size()) {
+    throw std::invalid_argument("pick_host: one request per host is required");
+  }
   int best = -1;
   PlacementScore best_score;
-  for (const HostSpace& host : hosts) {
-    const PlacementScore s = score_host(host, req, cfg);
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    const PlacementScore s = score_host(hosts[i], reqs[i], cfg);
     if (!s.feasible) continue;
     const bool better =
         best < 0 || (s.shape_fit && !best_score.shape_fit) ||
         (s.shape_fit == best_score.shape_fit && s.headroom > best_score.headroom);
     if (better) {
-      best = host.host;
+      best = hosts[i].host;
       best_score = s;
     }
   }

@@ -66,10 +66,12 @@ struct PlacementScore {
 PlacementScore score_host(const HostSpace& host, const PlacementRequest& req,
                           const PlacementPolicyConfig& cfg);
 
-/// Best host for the request, or -1 when none is feasible.  Ranking:
+/// Best host for a VM, or -1 when none is feasible.  `reqs[i]` is the VM
+/// sized in `hosts[i]`'s units (chunk size is a host property).  Ranking:
 /// shape-fit before overflow-fit, then max headroom (worst-fit), then
-/// lowest host id — fully deterministic.
-int pick_host(std::span<const HostSpace> hosts, const PlacementRequest& req,
+/// lowest host id — fully deterministic.  Cluster::admit places with this.
+int pick_host(std::span<const HostSpace> hosts,
+              std::span<const PlacementRequest> reqs,
               const PlacementPolicyConfig& cfg);
 
 }  // namespace vprobe::cluster

@@ -149,19 +149,12 @@ class Engine {
 
   /// Advance the clock to `deadline` without firing anything.  The caller
   /// guarantees no pending event lies strictly before `deadline` (asserted
-  /// in debug builds) — this is the PDES idle-shard handoff: the batched
-  /// synchronizer advances a skipped shard's clock in O(1) from the control
-  /// thread instead of paying a pool barrier for a no-op run_before
-  /// (docs/PDES.md).  No-op when the clock is already at `deadline`.
+  /// in debug builds) — this is the PDES idle-shard handoff: the
+  /// synchronizer advances a shard with no work in the window in O(1) from
+  /// the control thread instead of paying a pool barrier for a no-op
+  /// run_before (docs/PDES.md).  No-op when the clock is already at
+  /// `deadline`.
   void advance_to(Time deadline);
-
-  /// Monotone count of arm operations: every schedule_* call and every
-  /// periodic re-arm draws a sequence number from this counter.  Arming is
-  /// the only operation that can *lower* next_event_time() (firing and
-  /// cancelling only raise it), so an unchanged arm_count() certifies that
-  /// a cached horizon can only have become stale-low — a harmless no-op
-  /// dispatch — never stale-high.  The PDES horizon cache keys on this.
-  std::uint64_t arm_count() const { return next_seq_; }
 
   /// Run until the queue is empty (use with care: periodic timers never end;
   /// `max_events` is a runaway backstop).

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -75,6 +76,14 @@ cluster::HostSpace make_space(std::vector<std::int64_t> free,
   return s;
 }
 
+/// pick_host with the same request on every host (one chunk size).
+int pick_for_all(const std::vector<cluster::HostSpace>& hosts,
+                 const cluster::PlacementRequest& req,
+                 const cluster::PlacementPolicyConfig& cfg = {}) {
+  const std::vector<cluster::PlacementRequest> reqs(hosts.size(), req);
+  return cluster::pick_host(hosts, reqs, cfg);
+}
+
 TEST(Placement, ShapeFitNeedsKDistinctNodes) {
   // 3 pieces of 10 chunks: {10,10,10} fits, {30,0,0} does not.
   EXPECT_TRUE(cluster::fits_shape(std::vector<std::int64_t>{10, 10, 10}, 3, 10));
@@ -95,7 +104,7 @@ TEST(Placement, ShapeFitOutranksOverflowFit) {
   // 8 VCPUs on 4-core nodes want a 2-piece split (20 chunks per node):
   // host 0 only fits by total free, host 1 admits the split.
   const cluster::PlacementRequest req{40, 8};
-  EXPECT_EQ(cluster::pick_host(hosts, req, {}), 1);
+  EXPECT_EQ(pick_for_all(hosts, req), 1);
 }
 
 TEST(Placement, WorstFitPrefersHeadroomThenLowestId) {
@@ -105,7 +114,7 @@ TEST(Placement, WorstFitPrefersHeadroomThenLowestId) {
   hosts[0].host = 0;
   hosts[1].host = 1;
   const cluster::PlacementRequest req{10, 2};
-  EXPECT_EQ(cluster::pick_host(hosts, req, {}), 1);
+  EXPECT_EQ(pick_for_all(hosts, req), 1);
 
   // Identical twins: deterministic lowest-id tiebreak.
   std::vector<cluster::HostSpace> twins;
@@ -113,19 +122,69 @@ TEST(Placement, WorstFitPrefersHeadroomThenLowestId) {
   twins.push_back(make_space({80, 80}, {100, 100}, 0, 4));
   twins[0].host = 0;
   twins[1].host = 1;
-  EXPECT_EQ(cluster::pick_host(twins, req, {}), 0);
+  EXPECT_EQ(pick_for_all(twins, req), 0);
 }
 
 TEST(Placement, InfeasibleWhenMemoryOrCpuCapExceeded) {
   std::vector<cluster::HostSpace> hosts;
   hosts.push_back(make_space({4, 4}, {100, 100}, 0, 4));
-  EXPECT_EQ(cluster::pick_host(hosts, cluster::PlacementRequest{50, 1}, {}), -1);
+  EXPECT_EQ(pick_for_all(hosts, cluster::PlacementRequest{50, 1}), -1);
 
   cluster::PlacementPolicyConfig strict;
   strict.cpu_overcommit = 1.0;
   std::vector<cluster::HostSpace> full;
   full.push_back(make_space({80, 80}, {100, 100}, 8, 4));  // 8 VCPUs on 8 PCPUs
-  EXPECT_EQ(cluster::pick_host(full, cluster::PlacementRequest{4, 1}, strict), -1);
+  EXPECT_EQ(pick_for_all(full, cluster::PlacementRequest{4, 1}, strict), -1);
+}
+
+TEST(Placement, AdmitPicksWhatPickHostPicksOnAMixedFleet) {
+  // Cluster::admit places through pick_host: on a mixed fleet (two
+  // geometries, two chunk sizes, so the request is sized per host) every
+  // admission must land where pick_host ranks first over the same
+  // host_space snapshots, and be refused exactly when it finds no host.
+  cluster::Config ccfg;
+  std::vector<cluster::HostSpec> hosts(3);
+  hosts[1].machine = numa::MachineConfig::four_node_server();
+  hosts[2].machine = numa::MachineConfig::four_node_server();
+  hosts[2].machine.chunk_bytes = 16 * kMiB;
+  cluster::Cluster fleet(ccfg, hosts,
+                         runner::scheduler_factory(runner::SchedKind::kCredit));
+  const std::int64_t mems[] = {3 * kGiB, 10 * kGiB, 18 * kGiB, 1 * kGiB + 5 * kMiB};
+  const int vcpus[] = {2, 6, 12, 1, 4};
+  std::vector<int> placed(3, 0);
+  int refused = 0;
+  for (int i = 0; i < 40; ++i) {
+    std::vector<cluster::HostSpace> spaces;
+    std::vector<cluster::PlacementRequest> reqs;
+    cluster::VmSpec vm;
+    vm.name = "vm" + std::to_string(i);
+    vm.mem_bytes = mems[i % 4];
+    vm.vcpus = vcpus[i % 5];
+    for (int id = 0; id < fleet.num_hosts(); ++id) {
+      const std::int64_t chunk = fleet.host(id).config().machine.chunk_bytes;
+      spaces.push_back(fleet.host_space(id));
+      reqs.push_back({(vm.mem_bytes + chunk - 1) / chunk, vm.vcpus});
+    }
+    const int expected = cluster::pick_host(spaces, reqs, ccfg.placement);
+    const int vm_id = fleet.admit(std::move(vm));
+    if (expected < 0) {
+      EXPECT_EQ(vm_id, -1) << "admission " << i;
+      ++refused;
+      continue;
+    }
+    ASSERT_GE(vm_id, 0) << "admission " << i;
+    EXPECT_EQ(fleet.host_of(vm_id), expected) << "admission " << i;
+    ++placed[static_cast<std::size_t>(expected)];
+  }
+  // The sequence must exercise the ranking: every host wins at least once
+  // and the fleet fills up.
+  for (int n : placed) EXPECT_GT(n, 0);
+  EXPECT_GT(refused, 0);
+
+  // One request per host: a short list is a caller bug, not a refusal.
+  const std::vector<cluster::HostSpace> two(2);
+  const std::vector<cluster::PlacementRequest> one(1);
+  EXPECT_THROW(cluster::pick_host(two, one, ccfg.placement), std::invalid_argument);
 }
 
 // -- Cluster-of-1 == single machine -------------------------------------------

@@ -4,9 +4,9 @@
 // streams, and every rollup metric.  Covers the differential sweep (6
 // schedulers x 3 seeds x {2,4}-host fleets with churn + a scripted
 // migration under FleetCheck, batch-on vs batch-off vs serial), the
-// lookahead window mechanics (run_before/next_event_time/advance_to/
-// arm_count), the batched synchronizer's horizon cache and counters, the
-// ShardPool wake discipline, and the fleet_mix + clustered_control goldens.
+// lookahead window mechanics (run_before/next_event_time/advance_to), the
+// synchronizer's idle-shard handoff and counters, the ShardPool wake
+// discipline, and the fleet_mix + clustered_control goldens.
 //
 //   ctest -L pdes
 //
@@ -88,23 +88,6 @@ TEST(EngineWindow, AdvanceToMovesTheClockWithoutFiring) {
   engine.run_until(sim::Time::ms(5));
   EXPECT_TRUE(later);
   EXPECT_FALSE(fired);
-  engine.clear();
-}
-
-TEST(EngineWindow, ArmCountBumpsOnEveryArmIncludingPeriodicRearm) {
-  sim::Engine engine;
-  const std::uint64_t base = engine.arm_count();
-  engine.schedule_at(sim::Time::ms(1), [] {});
-  EXPECT_EQ(engine.arm_count(), base + 1);
-  auto h = engine.schedule_periodic(sim::Time::ms(2), [] {});
-  EXPECT_EQ(engine.arm_count(), base + 2);
-  // Each periodic firing re-arms the slot with a fresh sequence number, so
-  // the horizon cache sees the shard's heap change even when only a
-  // periodic timer advanced — cancelling or firing alone never lowers
-  // next_event_time(), arming (and re-arming) is the one thing that can.
-  engine.run_until(sim::Time::ms(4));  // fires t=1, t=2, t=4 (re-arms twice)
-  EXPECT_EQ(engine.arm_count(), base + 4);
-  h.cancel();
   engine.clear();
 }
 
@@ -317,7 +300,7 @@ TEST(PdesTies, MigrationCompletionTieIsCountedInBothLoops) {
   // (408,815,334 ns, one 150 ms balancer period later) lands exactly on a
   // slice end.  Serial order fires the slice end before the retire of the
   // source domain; the synchronizer fires the control event first, and
-  // host 1's trace diverges there.  Both window loops must count the tie
+  // host 1's trace diverges there.  Both window modes must count the tie
   // and name it.
   const FleetRun serial = run_fleet(runner::SchedKind::kCredit, 41, 2, 1);
   const FleetRun batched = run_fleet(runner::SchedKind::kCredit, 41, 2, 2,
@@ -351,7 +334,7 @@ TEST(PdesTies, SmokeFleetTiesOnlyOnTheGridAndUntouched) {
   EXPECT_TRUE(sharded == serial);
 }
 
-// -- Batched synchronizer mechanics ---------------------------------------------
+// -- Synchronizer mechanics -----------------------------------------------------
 
 /// A minimal sharded fleet with no VMs: the only host events are the 10 ms
 /// staggered PCPU tick grids (1.25 ms spacing on the 8-PCPU xeon, 0.3125 ms
@@ -389,13 +372,16 @@ TEST(PdesBatched, CoalescesControlBurstsAndSkipsIdleShards) {
   EXPECT_GT(sync.shard_skips, 0u)
       << "heterogeneous tick grids must leave one shard idle in some"
       << " windows";
-  // The unbatched loop on the same fleet pays a barrier per window.
+  // window_batch off counts every shard as busy: one barrier per window.
   auto ref = make_idle_fleet(2, sim::Time::us(200), /*window_batch=*/false);
   ref->start();
   ref->run_until(sim::Time::ms(100));
   const cluster::SyncStats unbatched = ref->sync_stats();
   EXPECT_EQ(unbatched.windows_coalesced, 0u);
   EXPECT_EQ(unbatched.barriers, unbatched.windows + 1);
+  EXPECT_EQ(unbatched.shard_dispatches, 2 * unbatched.barriers)
+      << "every barrier dispatches both shards";
+  EXPECT_EQ(unbatched.shard_skips, 0u);
   EXPECT_LT(sync.barriers, unbatched.barriers);
 }
 
@@ -409,15 +395,14 @@ TEST(PdesBatched, SerialModeReportsZeroSyncStats) {
   EXPECT_EQ(sync.pool_wakeups, 0u);
 }
 
-TEST(PdesBatched, ControlArmOntoPreviouslyIdleShardInvalidatesTheHorizonCache) {
+TEST(PdesBatched, ControlArmOntoPreviouslyIdleShardIsDispatched) {
   // No start(): the shards are completely empty, so every window before the
-  // arm coalesces and the cached horizons read Time::max().  A control
-  // event then schedules onto host 1's shard — both an equal-time event
-  // (legal: the skipped shard's clock was advanced to the coupling point
-  // before control fired) and a later one.  The arm bumps the shard's
-  // arm_count, so the next partition must re-peek the heap and dispatch
-  // the shard; a stale cache would silently drop both events (and abort
-  // on advance_to's debug assert).
+  // arm coalesces.  A control event then schedules onto host 1's shard —
+  // both an equal-time event (legal: the skipped shard's clock was advanced
+  // to the coupling point before control fired) and a later one.  The next
+  // window must see the shard's new events and dispatch it; skipping it
+  // would silently drop both events (and abort on advance_to's debug
+  // assert).
   auto fleet = make_idle_fleet(2, sim::Time::zero());
   int fired_equal_time = 0;
   int fired_later = 0;
@@ -588,8 +573,8 @@ TEST(FleetMixPdes, GoldenFleetDigestAtFourThreads) {
 // fleet_mix exercises scripted migrations under a sparse control plane;
 // clustered_control inverts the density: ~2 ms churn interarrivals and a
 // 50 ms balancer against hosts that mostly just tick, plus migrations on
-// coincident timestamps.  This is the workload the batched synchronizer
-// was built for — the differential test additionally asserts the batch
+// coincident timestamps.  This is the workload batched windows were
+// built for — the differential test additionally asserts the batch
 // counters prove coalescing actually happened (barriers < control events).
 
 TEST(ClusteredControl, SerialBatchedAndUnbatchedProduceOneStream) {

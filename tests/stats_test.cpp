@@ -1,4 +1,4 @@
-// Stats layer tests: Summary, RunMetrics, Table, CsvWriter, sweep helpers.
+// Stats layer tests: RunMetrics, Table, CsvWriter, sweep helpers.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -7,56 +7,10 @@
 #include "runner/sweep.hpp"
 #include "stats/csv.hpp"
 #include "stats/metrics.hpp"
-#include "stats/summary.hpp"
 #include "stats/table.hpp"
 
 namespace vprobe::stats {
 namespace {
-
-// ------------------------------------------------------------- Summary ----
-
-TEST(Summary, BasicMoments) {
-  Summary s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 0.001);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(Summary, Percentiles) {
-  Summary s;
-  for (int i = 1; i <= 100; ++i) s.add(static_cast<double>(i));
-  EXPECT_NEAR(s.median(), 50.5, 1e-9);
-  EXPECT_NEAR(s.percentile(0), 1.0, 1e-9);
-  EXPECT_NEAR(s.percentile(100), 100.0, 1e-9);
-  EXPECT_NEAR(s.percentile(90), 90.1, 1e-9);
-}
-
-TEST(Summary, PercentileAfterLaterAdd) {
-  Summary s;
-  s.add(1.0);
-  EXPECT_DOUBLE_EQ(s.median(), 1.0);
-  s.add(100.0);  // invalidates the sorted cache
-  EXPECT_DOUBLE_EQ(s.median(), 50.5);
-}
-
-TEST(Summary, EmptyThrows) {
-  Summary s;
-  EXPECT_THROW(s.mean(), std::logic_error);
-  EXPECT_THROW(s.percentile(50), std::logic_error);
-  EXPECT_DOUBLE_EQ(s.sum(), 0.0);
-}
-
-TEST(Summary, SingleSample) {
-  Summary s;
-  s.add(42.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 42.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-  EXPECT_DOUBLE_EQ(s.percentile(75), 42.0);
-}
 
 // ---------------------------------------------------------- RunMetrics ----
 
