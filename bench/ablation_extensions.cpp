@@ -59,12 +59,12 @@ stats::RunMetrics misplaced_run(const runner::RunConfig& cfg,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const runner::Cli cli(argc, argv);
+  runner::Cli cli(argc, argv);
+  cli.require_known({}, runner::kBenchFlagKeys);
   if (runner::maybe_print_help(
           cli, "Ablation: Section VI extensions (dynamic bounds, page"
                " migration)"))
     return 0;
-  cli.require_known({}, runner::kBenchFlagKeys);
   const runner::BenchFlags flags = runner::parse_bench_flags(cli);
   bench::print_header(
       "Ablation: Section VI extensions (dynamic bounds, page migration)",

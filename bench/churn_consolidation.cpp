@@ -120,12 +120,12 @@ int main(int argc, char** argv) {
   using namespace vprobe;  // NOLINT
 
   runner::Cli cli(argc, argv);
+  cli.require_known({"smoke"}, runner::kBenchFlagKeys);
   if (runner::maybe_print_help(
           cli, "VM churn consolidation: measured SPEC VM vs dynamic background",
           "  --smoke             tiny run, exit nonzero on invariant trouble\n")) {
     return 0;
   }
-  cli.require_known({"smoke"}, runner::kBenchFlagKeys);
   runner::BenchFlags flags = runner::parse_bench_flags(cli, 0.05);
   if (cli.has("smoke")) flags.config.instr_scale = 0.01;
 

@@ -9,12 +9,12 @@
 using namespace vprobe;
 
 int main(int argc, char** argv) {
-  const runner::Cli cli(argc, argv);
+  runner::Cli cli(argc, argv);
+  cli.require_known({}, runner::kBenchFlagKeys);
   if (runner::maybe_print_help(
           cli, "Comparators: the paper's five schedulers + AutoNUMA-style"
                " balancing"))
     return 0;
-  cli.require_known({}, runner::kBenchFlagKeys);
   const runner::BenchFlags flags = runner::parse_bench_flags(cli);
   bench::print_header(
       "Comparators: the paper's five schedulers + AutoNUMA-style balancing",

@@ -547,7 +547,7 @@ void print_scenario(const Scenario& sc, bool first) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const vprobe::runner::Cli cli(argc, argv);
+  vprobe::runner::Cli cli(argc, argv);
   cli.require_known({"smoke"});
   const bool smoke = cli.has("smoke");
   const int steps = smoke ? 100'000 : 600'000;

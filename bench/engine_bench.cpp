@@ -206,7 +206,7 @@ void print_result(const char* name, const BenchResult& r, std::uint64_t expected
 }  // namespace
 
 int main(int argc, char** argv) {
-  const vprobe::runner::Cli cli(argc, argv);
+  vprobe::runner::Cli cli(argc, argv);
   cli.require_known({"smoke"});
   const bool smoke = cli.has("smoke");
   const int n = smoke ? 20'000 : 100'000;

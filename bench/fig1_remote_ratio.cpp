@@ -10,12 +10,12 @@
 using namespace vprobe;
 
 int main(int argc, char** argv) {
-  const runner::Cli cli(argc, argv);
+  runner::Cli cli(argc, argv);
+  cli.require_known({}, runner::kBenchFlagKeys);
   if (runner::maybe_print_help(
           cli, "Figure 1: remote memory access ratio under the Credit"
                " scheduler"))
     return 0;
-  cli.require_known({}, runner::kBenchFlagKeys);
   runner::BenchFlags flags = runner::parse_bench_flags(cli);
   flags.config.sched = runner::SchedKind::kCredit;
   flags.config.fig1_memory_config = true;  // VM1/VM2 8 GB, VM3 2 GB (Section II-B)

@@ -12,12 +12,12 @@
 using namespace vprobe;
 
 int main(int argc, char** argv) {
-  const runner::Cli cli(argc, argv);
+  runner::Cli cli(argc, argv);
+  cli.require_known({}, runner::kBenchFlagKeys);
   if (runner::maybe_print_help(
           cli, "Figure 3: LLC miss rate and RPTI of the calibration"
                " applications"))
     return 0;
-  cli.require_known({}, runner::kBenchFlagKeys);
   runner::BenchFlags flags = runner::parse_bench_flags(cli, 0.02);
   // The solo calibration is noise-free by construction (one pinned VCPU,
   // nothing else running): a single seed per app, like the paper.

@@ -9,13 +9,13 @@
 using namespace vprobe;
 
 int main(int argc, char** argv) {
-  const runner::Cli cli(argc, argv);
+  runner::Cli cli(argc, argv);
+  cli.require_known({"check"}, runner::kBenchFlagKeys);
   if (runner::maybe_print_help(
           cli, "Figure 4: SPEC CPU2006 under five VCPU schedulers",
           "  --check          verify the paper's qualitative claims (exit 1 on"
           " failure)"))
     return 0;
-  cli.require_known({"check"}, runner::kBenchFlagKeys);
   const runner::BenchFlags flags = runner::parse_bench_flags(cli);
   bench::print_header("Figure 4: SPEC CPU2006 under five VCPU schedulers",
                       flags);

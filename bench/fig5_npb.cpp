@@ -5,10 +5,10 @@
 using namespace vprobe;
 
 int main(int argc, char** argv) {
-  const runner::Cli cli(argc, argv);
+  runner::Cli cli(argc, argv);
+  cli.require_known({}, runner::kBenchFlagKeys);
   if (runner::maybe_print_help(cli, "Figure 5: NPB under five VCPU schedulers"))
     return 0;
-  cli.require_known({}, runner::kBenchFlagKeys);
   const runner::BenchFlags flags = runner::parse_bench_flags(cli);
   bench::print_header("Figure 5: NPB under five VCPU schedulers", flags);
 

@@ -6,13 +6,13 @@
 using namespace vprobe;
 
 int main(int argc, char** argv) {
-  const runner::Cli cli(argc, argv);
+  runner::Cli cli(argc, argv);
+  cli.require_known({"ops"}, runner::kBenchFlagKeys);
   if (runner::maybe_print_help(
           cli, "Figure 6: Memcached vs concurrent calls",
           "  --ops N          total memcached operations per run (default"
           " 150000)"))
     return 0;
-  cli.require_known({"ops"}, runner::kBenchFlagKeys);
   const runner::BenchFlags flags = runner::parse_bench_flags(cli);
   const auto total_ops = static_cast<std::uint64_t>(cli.get_u64("ops", 150'000));
   bench::print_header("Figure 6: Memcached vs concurrent calls", flags);

@@ -8,13 +8,13 @@
 using namespace vprobe;
 
 int main(int argc, char** argv) {
-  const runner::Cli cli(argc, argv);
+  runner::Cli cli(argc, argv);
+  cli.require_known({"requests", "check"}, runner::kBenchFlagKeys);
   if (runner::maybe_print_help(
           cli, "Figure 7: Redis vs parallel connections",
           "  --requests N     total redis requests per run (default 150000)\n"
           "  --check          verify Figure 7a's qualitative claims"))
     return 0;
-  cli.require_known({"requests", "check"}, runner::kBenchFlagKeys);
   const runner::BenchFlags flags = runner::parse_bench_flags(cli);
   const auto total_requests =
       static_cast<std::uint64_t>(cli.get_u64("requests", 150'000));

@@ -7,11 +7,11 @@
 using namespace vprobe;
 
 int main(int argc, char** argv) {
-  const runner::Cli cli(argc, argv);
+  runner::Cli cli(argc, argv);
+  cli.require_known({}, runner::kBenchFlagKeys);
   if (runner::maybe_print_help(
           cli, "Figure 8: workload mix runtime vs vProbe sampling period"))
     return 0;
-  cli.require_known({}, runner::kBenchFlagKeys);
   const runner::BenchFlags flags = runner::parse_bench_flags(cli);
   bench::print_header(
       "Figure 8: workload mix runtime vs vProbe sampling period", flags);

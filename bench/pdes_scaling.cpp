@@ -261,15 +261,16 @@ int main(int argc, char** argv) {
   using namespace vprobe;  // NOLINT
 
   runner::Cli cli(argc, argv);
+  cli.require_known({"seed", "smoke", "horizon", "max-threads"});
   if (runner::maybe_print_help(
           cli, "PDES scaling: sharded engine wall-clock vs the serial path",
           "  --smoke             8-host gate: digest identity at 4 threads,\n"
           "                      batch-on == batch-off, coalescing proven\n"
           "  --horizon S         simulated seconds per fleet (default 0.7)\n"
-          "  --max-threads N     largest shard count swept (default 8)\n")) {
+          "  --max-threads N     largest shard count swept (default 8)\n"
+          "  --seed S            fleet seed (default 7)\n")) {
     return 0;
   }
-  cli.require_known({"seed", "smoke", "horizon", "max-threads"});
   const std::uint64_t seed = cli.get_u64("seed", 7);
   if (cli.has("smoke")) return smoke(seed);
 

@@ -83,11 +83,11 @@ stats::RunMetrics run(const numa::MachineConfig& machine,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const runner::Cli cli(argc, argv);
+  runner::Cli cli(argc, argv);
+  cli.require_known({}, runner::kBenchFlagKeys);
   if (runner::maybe_print_help(
           cli, "Scaling: vProbe on 2-node vs 4-node machines"))
     return 0;
-  cli.require_known({}, runner::kBenchFlagKeys);
   const runner::BenchFlags flags = runner::parse_bench_flags(cli, 0.1);
   bench::print_header("Scaling: vProbe on 2-node vs 4-node machines", flags);
 

@@ -213,7 +213,8 @@ int run_hot_path(double rps, double horizon) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const runner::Cli cli(argc, argv);
+  runner::Cli cli(argc, argv);
+  cli.require_known({"smoke", "rps", "horizon"});
   if (runner::maybe_print_help(
           cli, "Tail-latency serving: spike_fleet across all schedulers",
           "  --smoke             gate run: calm prefix, spike violations,\n"
@@ -223,7 +224,6 @@ int main(int argc, char** argv) {
           "  --horizon S         simulated seconds for --rps (default 0.12)\n")) {
     return 0;
   }
-  cli.require_known({"smoke", "rps", "horizon"});
   if (cli.has("smoke")) return run_smoke();
   const double rps = cli.get_double("rps", 0.0);
   if (rps > 0.0) return run_hot_path(rps, cli.get_double("horizon", 0.12));

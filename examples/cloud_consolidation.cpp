@@ -77,13 +77,13 @@ TenantReport run(runner::SchedKind kind, double scale, std::uint64_t ops) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const runner::Cli cli(argc, argv);
+  runner::Cli cli(argc, argv);
+  cli.require_known({"scale", "ops"});
   if (runner::maybe_print_help(
           cli, "Consolidated tenants on one NUMA server, Credit vs vProbe",
           "This example reads only --scale (default 0.05) and\n"
           "  --ops N          memcached operations per client (default 60000)"))
     return 0;
-  cli.require_known({"scale", "ops"});
   const double scale = cli.get_double("scale", 0.05);
   const auto ops = cli.get_u64("ops", 60'000);
 

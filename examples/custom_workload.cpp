@@ -57,12 +57,12 @@ class CheckpointingLoop final : public hv::VcpuWork {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const runner::Cli cli(argc, argv);
+  runner::Cli cli(argc, argv);
+  cli.require_known({"scale"});
   if (runner::maybe_print_help(
           cli, "A custom application model and VcpuWork under vProbe",
           "This example reads only --scale (default 1.0)."))
     return 0;
-  cli.require_known({"scale"});
   const double scale = cli.get_double("scale", 1.0);
 
   // 1. Describe the custom application's memory behaviour.  This is all the

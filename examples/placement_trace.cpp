@@ -17,13 +17,13 @@
 using namespace vprobe;
 
 int main(int argc, char** argv) {
-  const runner::Cli cli(argc, argv);
+  runner::Cli cli(argc, argv);
+  cli.require_known({"scale", "sched", "seed"});
   if (runner::maybe_print_help(
           cli, "VCPU node residency and PCPU migrations under one scheduler",
           "This example reads only --scale (default 0.15), --sched (default\n"
           "vprobe) and --seed (default 1)."))
     return 0;
-  cli.require_known({"scale", "sched", "seed"});
   const double scale = cli.get_double("scale", 0.15);
   const std::string sched_name = cli.get("sched", "vprobe");
   const auto parsed = runner::sched_from_name(sched_name);

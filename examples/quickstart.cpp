@@ -70,12 +70,12 @@ Outcome run_once(runner::SchedKind kind, double scale) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const runner::Cli cli(argc, argv);
+  runner::Cli cli(argc, argv);
+  cli.require_known({"scale"});
   if (runner::maybe_print_help(
           cli, "Quickstart: one SPEC VM next to a CPU hog, Credit vs vProbe",
           "This example reads only --scale (default 0.05)."))
     return 0;
-  cli.require_known({"scale"});
   const double scale = cli.get_double("scale", 0.05);
 
   std::printf("%s\n\n", numa::MachineConfig::xeon_e5620().summary().c_str());

@@ -43,12 +43,18 @@ app vm=VM3 kind=hungry
 }  // namespace
 
 int main(int argc, char** argv) {
-  const runner::Cli cli(argc, argv);
+  runner::Cli cli(argc, argv);
+  cli.require_known({"repeats", "jobs", "json", "hosts-csv", "sim-threads",
+                     "no-window-batch", "no-lazy-arrivals", "rps", "slo-ms"});
   if (runner::maybe_print_help(
           cli, "Run a scenario file (built-in demo when no file is given)",
           "  <file.scn>       positional: scenario file to run\n"
           "  --repeats N      average over N seeds (default 1; seeds from"
           " the scenario's base seed)\n"
+          "  --jobs N         run the repeats on N threads (bit-identical to\n"
+          "                   --jobs 1)\n"
+          "  --json           print the metrics as one JSON object instead of\n"
+          "                   tables\n"
           "  --hosts-csv F    cluster scenarios: per-host metrics to F\n"
           "  --sim-threads N  cluster scenarios: engine shards (PDES);\n"
           "                   bit-identical to --sim-threads 1\n"
@@ -61,8 +67,6 @@ int main(int argc, char** argv) {
           "                   (scenario must declare kind=kv apps)\n"
           "  --slo-ms M       override the request-latency SLO threshold"))
     return 0;
-  cli.require_known({"repeats", "jobs", "json", "hosts-csv", "sim-threads",
-                     "no-window-batch", "no-lazy-arrivals", "rps", "slo-ms"});
 
   std::string text;
   if (cli.positional().empty()) {

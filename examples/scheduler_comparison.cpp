@@ -18,14 +18,14 @@
 using namespace vprobe;
 
 int main(int argc, char** argv) {
-  const runner::Cli cli(argc, argv);
+  runner::Cli cli(argc, argv);
+  cli.require_known({"npb"}, runner::kBenchFlagKeys);
   if (runner::maybe_print_help(
           cli, "Compare the paper's five schedulers on one workload",
           "  <app>            positional: SPEC profile, \"mix\", or (with"
           " --npb) an NPB app\n"
           "  --npb            treat <app> as an NPB workload (4 threads)"))
     return 0;
-  cli.require_known({"npb"}, runner::kBenchFlagKeys);
   const std::string app =
       cli.positional().empty() ? "soplex" : cli.positional().front();
   const bool npb = cli.has("npb");

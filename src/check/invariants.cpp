@@ -41,19 +41,6 @@ void InvariantChecker::detach() {
   hv_ = nullptr;
 }
 
-void InvariantChecker::clear() {
-  violations_.clear();
-  total_violations_ = 0;
-  checks_run_ = 0;
-  events_seen_ = 0;
-  have_last_event_ = false;
-  free_before_destroy_.clear();
-  destroy_census_.clear();
-  pending_dead_ids_.clear();
-  dead_vcpus_.clear();
-  dead_vcpu_ids_.clear();
-}
-
 void InvariantChecker::report(std::string what) {
   ++total_violations_;
   if (violations_.size() < cfg_.max_violations) {

@@ -98,7 +98,6 @@ class InvariantChecker final : public sim::Engine::Observer,
   std::uint64_t total_violations() const { return total_violations_; }
   std::uint64_t checks_run() const { return checks_run_; }
   std::uint64_t events_seen() const { return events_seen_; }
-  void clear();
 
   /// Throw std::runtime_error describing the first violations, if any.
   void expect_ok() const;

@@ -264,6 +264,10 @@ class Cluster {
   const Config& config() const { return config_; }
 
  private:
+  /// Tests corrupt the bookkeeping below through this, to prove FleetCheck
+  /// catches states no public call can reach (tests/cluster_test.cpp).
+  friend struct ClusterFaults;
+
   struct Vm {
     int id = -1;
     VmSpec spec;

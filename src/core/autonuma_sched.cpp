@@ -59,7 +59,6 @@ void AutoNumaScheduler::on_sampling_period() {
   // Memory-follows-task for whoever stayed put.
   if (options_.migrate_pages) {
     const auto moved = page_policy_.run(*hv_);
-    pages_migrated_ += static_cast<std::uint64_t>(moved.chunks_moved);
     hv_->charge_overhead(hv::OverheadBucket::kBalancing, moved.cost,
                          &hv_->pcpu(0));
   }

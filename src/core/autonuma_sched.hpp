@@ -51,7 +51,6 @@ class AutoNumaScheduler : public hv::CreditScheduler {
 
   const Options& options() const { return options_; }
   std::uint64_t task_migrations() const { return task_migrations_; }
-  std::uint64_t pages_migrated() const { return pages_migrated_; }
 
  private:
   void on_sampling_period();
@@ -60,7 +59,6 @@ class AutoNumaScheduler : public hv::CreditScheduler {
   PagePolicy page_policy_{};
   std::unique_ptr<pmu::Sampler> sampler_;
   std::uint64_t task_migrations_ = 0;
-  std::uint64_t pages_migrated_ = 0;
 };
 
 }  // namespace vprobe::core

@@ -86,7 +86,6 @@ void BrmScheduler::on_sampling_period() {
     if (best != cur && improvement > options_.improvement_threshold &&
         hv_->rng().chance(options_.migrate_probability)) {
       hv_->migrate_to_node(v, best);
-      ++migrations_performed_;
     }
   }
 }

@@ -51,7 +51,6 @@ class BrmScheduler : public hv::CreditScheduler {
 
   const Options& options() const { return options_; }
   std::uint64_t lock_updates() const { return lock_updates_; }
-  std::uint64_t migrations_performed() const { return migrations_performed_; }
 
   /// Expected uncore penalty of `vcpu` if it ran on `node`, from its last
   /// sampling window: miss intensity times the remote-access fraction.
@@ -67,7 +66,6 @@ class BrmScheduler : public hv::CreditScheduler {
   std::unique_ptr<pmu::Sampler> sampler_;
   numa::RateTracker update_rate_{sim::Time::ms(100)};
   std::uint64_t lock_updates_ = 0;
-  std::uint64_t migrations_performed_ = 0;
 };
 
 }  // namespace vprobe::core

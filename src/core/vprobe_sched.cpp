@@ -73,7 +73,6 @@ void VprobeScheduler::on_sampling_period() {
   // (c) Section VI extension: pull data toward the (re)placed VCPUs.
   if (options_.page_migration) {
     const auto moved = page_policy_.run(*hv_);
-    pages_migrated_ += static_cast<std::uint64_t>(moved.chunks_moved);
     hv_->charge_overhead(hv::OverheadBucket::kBalancing, moved.cost,
                          &hv_->pcpu(0));
     if (moved.chunks_moved > 0) {

@@ -51,7 +51,6 @@ class VprobeScheduler : public hv::CreditScheduler {
   const NumaAwareBalancer& balancer() const { return balancer_; }
   std::uint64_t partition_rounds() const { return partition_rounds_; }
   std::uint64_t partition_moves() const { return partition_moves_; }
-  std::uint64_t pages_migrated() const { return pages_migrated_; }
 
  protected:
   /// Idle-time steal: Algorithm 2 when enabled, Credit's scan otherwise.
@@ -73,7 +72,6 @@ class VprobeScheduler : public hv::CreditScheduler {
   std::unique_ptr<pmu::Sampler> sampler_;
   std::uint64_t partition_rounds_ = 0;
   std::uint64_t partition_moves_ = 0;
-  std::uint64_t pages_migrated_ = 0;
 };
 
 }  // namespace vprobe::core

@@ -4,21 +4,8 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "sim/log.hpp"
 
 namespace vprobe::hv {
-
-const char* to_string(OverheadBucket bucket) {
-  switch (bucket) {
-    case OverheadBucket::kPmuCollection: return "pmu-collection";
-    case OverheadBucket::kPartitioning:  return "partitioning";
-    case OverheadBucket::kBalancing:     return "balancing";
-    case OverheadBucket::kLockWait:      return "lock-wait";
-    case OverheadBucket::kContextSwitch: return "context-switch";
-    case OverheadBucket::kCount:         break;
-  }
-  return "?";
-}
 
 Hypervisor::Hypervisor(Config config, std::unique_ptr<Scheduler> scheduler)
     : Hypervisor(std::move(config), std::move(scheduler), nullptr) {}
@@ -164,8 +151,6 @@ void Hypervisor::destroy_domain(Domain& dom) {
 #endif
   for (std::size_t i = 0; i < dom.num_vcpus(); ++i) retire_vcpu(dom.vcpu(i));
   emit(trace::EventKind::kDomainDestroy, -1, -1, dom.id());
-  VPROBE_CLOG(engine_.log(), sim::LogLevel::kInfo, "hv", "domain %s destroyed",
-              dom.name().c_str());
   // Erasing the owning pointer frees the VCPUs and the VmMemory — the
   // VmMemory destructor releases every homed chunk back to its node pool.
   domains_.erase(it);
@@ -491,9 +476,6 @@ void Hypervisor::start_running(Pcpu& p, Vcpu& v, sim::Time slice) {
     ++v.migrations;
     if (cross) ++v.cross_node_migrations;
     emit(trace::EventKind::kMigration, v.id(), p.id, v.last_ran_pcpu);
-    VPROBE_CLOG(engine_.log(), sim::LogLevel::kDebug, "hv",
-                "%s migrated pcpu %d -> %d%s", v.name().c_str(),
-                v.last_ran_pcpu, p.id, cross ? " (cross-node)" : "");
   }
   emit(trace::EventKind::kSwitchIn, v.id(), p.id);
   v.pcpu = p.id;

@@ -145,8 +145,6 @@ class Hypervisor {
 
   sim::Engine& engine() { return engine_; }
   sim::Time now() const { return engine_.now(); }
-  /// True in single-machine mode (the engine dies with this hypervisor).
-  bool owns_engine() const { return owned_engine_ != nullptr; }
   int host_id() const { return config_.host_id; }
   sim::Rng& rng() { return rng_; }
   const Config& config() const { return config_; }

@@ -23,8 +23,6 @@ enum class OverheadBucket : int {
   kCount,
 };
 
-const char* to_string(OverheadBucket bucket);
-
 class OverheadLedger {
  public:
   void record(OverheadBucket bucket, sim::Time cost) {

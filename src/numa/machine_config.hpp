@@ -48,7 +48,6 @@ struct MachineConfig {
 
   // Derived helpers ---------------------------------------------------------
   int total_pcpus() const { return num_nodes * cores_per_node; }
-  double cycles_per_ns() const { return clock_ghz; }
   double qpi_link_bandwidth_bytes_per_s() const {
     return qpi_gt_per_s * 1e9 * qpi_bytes_per_transfer;
   }

@@ -41,7 +41,6 @@ class Topology {
 
   bool same_node(PcpuId a, PcpuId b) const { return node_of(a) == node_of(b); }
 
-  bool valid_pcpu(PcpuId p) const { return p >= 0 && p < num_pcpus(); }
   bool valid_node(NodeId n) const { return n >= 0 && n < num_nodes_; }
 
   /// Nodes ordered by interconnect distance from `from` (self first; with a

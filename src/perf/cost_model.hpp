@@ -93,7 +93,6 @@ class CostModel {
   /// Master switch (the --no-rate-cache escape hatch).  Off: the *_cached
   /// entry points recompute unconditionally — provably the same numbers.
   void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
-  bool cache_enabled() const { return cache_enabled_; }
 
   double ns_per_instr_cached(std::size_t slot, const SliceProfile& profile,
                              numa::NodeId run_node, double extra_cold_miss,

@@ -5,7 +5,6 @@
 
 #include "cluster/cluster.hpp"
 #include "runner/fleet.hpp"
-#include "sim/log.hpp"
 
 namespace vprobe::runner {
 
@@ -98,10 +97,6 @@ void ChurnDriver::on_arrival() {
     vm->pause_event =
         engine().schedule(at, [this, vm_id] { pause_vm(vm_id); });
   }
-  VPROBE_CLOG(engine().log(), sim::LogLevel::kDebug, "churn",
-              "arrive vm %d on host %d (%d vcpus, %lld MiB), live %zu",
-              vm_id, cluster_->host_of(vm_id), vcpus,
-              static_cast<long long>(mem >> 20), live_.size() + 1);
   live_.push_back(std::move(vm));
 }
 
@@ -121,8 +116,6 @@ void ChurnDriver::depart(int vm_id) {
   // re-arming), then tears the domain down.
   cluster_->destroy(vm_id);
   ++departures_;
-  VPROBE_CLOG(engine().log(), sim::LogLevel::kDebug, "churn",
-              "depart vm %d, live %zu", vm_id, live_.size() - 1);
   live_.erase(std::find_if(live_.begin(), live_.end(),
                            [&](const auto& p) { return p.get() == vm; }));
 }

@@ -125,17 +125,19 @@ std::uint64_t Cli::get_u64(const std::string& key, std::uint64_t fallback) const
 bool Cli::help_requested() const { return has("help"); }
 
 void Cli::require_known(std::initializer_list<std::string_view> known,
-                        std::span<const std::string_view> also) const {
+                        std::span<const std::string_view> also) {
+  declared_.assign(known.begin(), known.end());
+  declared_.insert(declared_.end(), also.begin(), also.end());
   for (const auto& [key, value] : options_) {
-    if (key == "help" ||
-        std::find(known.begin(), known.end(), key) != known.end() ||
-        std::find(also.begin(), also.end(), key) != also.end()) {
-      continue;
-    }
+    if (key == "help" || accepts(key)) continue;
     std::fprintf(stderr, "%s: unknown flag --%s (see --help)\n",
                  program_.c_str(), key.c_str());
     std::exit(2);
   }
+}
+
+bool Cli::accepts(std::string_view key) const {
+  return std::find(declared_.begin(), declared_.end(), key) != declared_.end();
 }
 
 BenchFlags parse_bench_flags(const Cli& cli, double default_scale) {
@@ -172,25 +174,30 @@ BenchFlags parse_bench_flags(const Cli& cli, double default_scale) {
 
 bool maybe_print_help(const Cli& cli, const char* summary, const char* extra) {
   if (!cli.help_requested()) return false;
-  std::printf("%s\n\nUsage: %s [options]\n\n", summary, cli.program().c_str());
-  std::printf(
-      "Standard options (all accept --key=value or --key value):\n"
-      "  --jobs N         run N simulations concurrently (0 = all host cores;\n"
-      "                   results are bit-identical to --jobs 1)\n"
-      "  --repeats N      average every experiment over N seeds (default 3)\n"
-      "  --seed S         base RNG seed (default 1)\n"
-      "  --instr-scale X  scale app instruction budgets; 1.0 = paper-scale\n"
-      "                   (alias: --scale)\n"
-      "  --sched NAME     restrict scheduler sweeps to one of credit, vprobe,\n"
-      "                   vcpu_p, lb, brm, autonuma\n"
-      "  --period S       scheduler sampling period in seconds (default 1.0)\n"
-      "  --json PATH      also write results as JSON lines to PATH (- = stdout)\n"
-      "  --checks         run the invariant checker on every simulation and\n"
-      "                   abort on any violation (VPROBE_CHECKS builds)\n"
-      "  --no-rate-cache  disable the cost-model memoization (results are\n"
-      "                   bit-identical either way; this is the escape hatch\n"
-      "                   differential tests use to prove it)\n"
-      "  --help           this text\n");
+  std::printf("%s\n\nUsage: %s [options]\n", summary, cli.program().c_str());
+  const bool standard = std::all_of(
+      std::begin(kBenchFlagKeys), std::end(kBenchFlagKeys),
+      [&](std::string_view key) { return cli.accepts(key); });
+  if (standard) {
+    std::printf(
+        "\nStandard options (all accept --key=value or --key value):\n"
+        "  --jobs N         run N simulations concurrently (0 = all host cores;\n"
+        "                   results are bit-identical to --jobs 1)\n"
+        "  --repeats N      average every experiment over N seeds (default 3)\n"
+        "  --seed S         base RNG seed (default 1)\n"
+        "  --instr-scale X  scale app instruction budgets; 1.0 = paper-scale\n"
+        "                   (alias: --scale)\n"
+        "  --sched NAME     restrict scheduler sweeps to one of credit, vprobe,\n"
+        "                   vcpu_p, lb, brm, autonuma\n"
+        "  --period S       scheduler sampling period in seconds (default 1.0)\n"
+        "  --json PATH      also write results as JSON lines to PATH (- = stdout)\n"
+        "  --checks         run the invariant checker on every simulation and\n"
+        "                   abort on any violation (VPROBE_CHECKS builds)\n"
+        "  --no-rate-cache  disable the cost-model memoization (results are\n"
+        "                   bit-identical either way; this is the escape hatch\n"
+        "                   differential tests use to prove it)\n"
+        "  --help           this text\n");
+  }
   if (extra != nullptr && *extra != '\0') {
     std::printf("\n%s\n", extra);
   }

@@ -48,9 +48,13 @@ class Cli {
   /// always is) is a usage error, so this prints it to stderr and exits 2.
   /// Without the check a misspelt flag such as --no-lazy-arrival is
   /// silently ignored.  Binaries that read the standard flags pass
-  /// kBenchFlagKeys as `also`.
+  /// kBenchFlagKeys as `also`.  The declaration is kept, so call this
+  /// before maybe_print_help(): --help lists only the flags declared here.
   void require_known(std::initializer_list<std::string_view> known,
-                     std::span<const std::string_view> also = {}) const;
+                     std::span<const std::string_view> also = {});
+
+  /// True when require_known() declared `key`.
+  bool accepts(std::string_view key) const;
 
  private:
   [[noreturn]] void reject(const std::string& key, const std::string& value,
@@ -59,6 +63,7 @@ class Cli {
   std::string program_;
   std::map<std::string, std::string> options_;
   std::vector<std::string> positional_;
+  std::vector<std::string> declared_;  ///< require_known()'s flags
 };
 
 /// The flags parse_bench_flags() reads.
@@ -80,9 +85,10 @@ struct BenchFlags {
 /// a malformed numeric value.
 BenchFlags parse_bench_flags(const Cli& cli, double default_scale = 0.25);
 
-/// The standard --help text (shared flags), plus `extra` lines a binary
-/// wants to append (may be nullptr).  Returns true when help was requested
-/// and printed — the caller should then exit 0.
+/// The --help text: the standard flags when the binary declared them all
+/// (see Cli::require_known), plus `extra` lines a binary wants to append
+/// (may be nullptr).  Returns true when help was requested and printed —
+/// the caller should then exit 0.
 bool maybe_print_help(const Cli& cli, const char* summary,
                       const char* extra = nullptr);
 

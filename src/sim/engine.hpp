@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "sim/callback.hpp"
-#include "sim/log.hpp"
 #include "sim/time.hpp"
 
 namespace vprobe::sim {
@@ -76,7 +75,7 @@ class Engine {
     virtual void on_event(Time when, std::uint64_t seq) = 0;
   };
 
-  Engine() { log_.bind_clock(this); }
+  Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -86,10 +85,6 @@ class Engine {
 
   /// Current simulated time.
   Time now() const { return now_; }
-
-  /// This engine's log sink; messages carry this engine's simulated time.
-  LogContext& log() { return log_; }
-  const LogContext& log() const { return log_; }
 
   /// Schedule `fn` to run at absolute time `when` (must be >= now()).
   /// Templated so the callable is constructed directly inside its pooled
@@ -244,7 +239,6 @@ class Engine {
   void cancel(std::uint32_t idx, std::uint32_t gen);
   bool is_pending(std::uint32_t idx, std::uint32_t gen) const;
 
-  LogContext log_;
   Observer* observer_ = nullptr;
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 0;

@@ -39,7 +39,6 @@ class Time {
   constexpr double to_millis() const { return static_cast<double>(ns_) / 1e6; }
   constexpr double to_micros() const { return static_cast<double>(ns_) / 1e3; }
 
-  constexpr bool is_zero() const { return ns_ == 0; }
   constexpr bool is_negative() const { return ns_ < 0; }
 
   friend constexpr Time operator+(Time a, Time b) { return Time{a.ns_ + b.ns_}; }

@@ -54,9 +54,4 @@ RunMetrics MetricsAccumulator::mean() const {
   return out;
 }
 
-std::size_t MetricsAccumulator::count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return n_;
-}
-
 }  // namespace vprobe::stats

@@ -26,8 +26,6 @@ class MetricsAccumulator {
   /// returns that run exactly (bit-identical, no divide).
   RunMetrics mean() const;
 
-  std::size_t count() const;
-
  private:
   mutable std::mutex mu_;
   std::size_t n_ = 0;

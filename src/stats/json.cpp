@@ -112,12 +112,6 @@ JsonWriter& JsonWriter::value(bool v) {
   return *this;
 }
 
-JsonWriter& JsonWriter::null() {
-  pre_value();
-  out_ << "null";
-  return *this;
-}
-
 std::string to_json(const RunMetrics& m) {
   std::ostringstream os;
   JsonWriter json(os);

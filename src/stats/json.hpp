@@ -34,7 +34,6 @@ class JsonWriter {
   JsonWriter& value(std::int64_t v);
   JsonWriter& value(std::uint64_t v);
   JsonWriter& value(bool v);
-  JsonWriter& null();
 
   /// Convenience: key + value.
   template <typename T>

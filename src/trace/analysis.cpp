@@ -1,6 +1,5 @@
 #include "trace/analysis.hpp"
 
-#include <sstream>
 #include <unordered_map>
 
 namespace vprobe::trace {
@@ -60,30 +59,6 @@ std::vector<int> NodeResidency::vcpus() const {
   out.reserve(seconds_.size());
   for (const auto& [vcpu, row] : seconds_) out.push_back(vcpu);
   return out;
-}
-
-std::string NodeResidency::summary(int max_rows) const {
-  std::ostringstream os;
-  os << "vcpu  ";
-  for (int n = 0; n < num_nodes_; ++n) os << " node" << n << "(s)";
-  os << '\n';
-  int rows = 0;
-  for (const auto& [vcpu, row] : seconds_) {
-    if (rows++ >= max_rows) {
-      os << "... (" << seconds_.size() - static_cast<std::size_t>(max_rows)
-         << " more)\n";
-      break;
-    }
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%-6d", vcpu);
-    os << buf;
-    for (double s : row) {
-      std::snprintf(buf, sizeof buf, " %8.3f", s);
-      os << buf;
-    }
-    os << '\n';
-  }
-  return os.str();
 }
 
 MigrationMatrix::MigrationMatrix(const std::vector<Record>& records,

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <map>
-#include <string>
 #include <vector>
 
 #include "numa/topology.hpp"
@@ -30,8 +29,6 @@ class NodeResidency {
 
   /// All VCPUs seen, ascending.
   std::vector<int> vcpus() const;
-
-  std::string summary(int max_rows = 32) const;
 
  private:
   int num_nodes_;

@@ -56,7 +56,6 @@ class ComputeThread : public hv::VcpuWork {
 
   hv::Vcpu* vcpu() const { return vcpu_; }
   const std::string& name() const { return name_; }
-  const AppProfile& app_profile() const { return *profile_; }
 
   double executed_instructions() const { return executed_; }
   double total_instructions() const { return total_; }

@@ -89,10 +89,7 @@ class RequestServer {
   std::size_t ledger_bytes() const;
   int workers() const { return static_cast<int>(workers_.size()); }
   const std::string& name() const { return name_; }
-  ComputeThread& worker_thread(int i) { return *workers_.at(static_cast<std::size_t>(i)); }
 
-  /// Change the per-request service demand (e.g. connection-count overhead).
-  void set_instr_per_request(double v) { instr_per_request_ = v; }
   double instr_per_request() const { return instr_per_request_; }
 
   /// Request sojourn times (submit -> batch completion), in seconds — the
@@ -105,7 +102,6 @@ class RequestServer {
   /// SLO accounting: requests slower than the threshold are counted exactly
   /// at record time.  threshold <= 0 disables counting (the default).
   void set_slo_threshold(double seconds) { slo_threshold_s_ = seconds; }
-  double slo_threshold() const { return slo_threshold_s_; }
   std::uint64_t slo_violations() const { return slo_violations_; }
 
   /// Arrival-path accounting (docs/SERVING.md): engine events this server
@@ -115,6 +111,10 @@ class RequestServer {
   std::uint64_t arrivals_coalesced() const { return arrivals_coalesced_; }
 
  private:
+  /// Tests corrupt the counters below through this, to prove
+  /// OpenLoopClient::check_conservation catches it (tests/serving_test.cpp).
+  friend struct RequestServerFaults;
+
   class Worker : public ComputeThread {
    public:
     Worker(Init init, RequestServer* server, int index)

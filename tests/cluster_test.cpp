@@ -32,6 +32,17 @@
 #include "trace/tracer.hpp"
 #include "workload/hungry.hpp"
 
+namespace vprobe::cluster {
+
+/// Breaks the control plane's reservation bookkeeping behind its back.
+struct ClusterFaults {
+  static void leak_reservation(Cluster& c, int host, std::int64_t chunks) {
+    c.reserved_chunks_.at(static_cast<std::size_t>(host)) += chunks;
+  }
+};
+
+}  // namespace vprobe::cluster
+
 namespace vprobe {
 namespace {
 
@@ -412,6 +423,88 @@ TEST(Migration, RefusalsAndCancellation) {
   EXPECT_EQ(fleet.reserved_chunks(1), 0);
   runner::run_cluster_until(fleet, nullptr, sim::Time::ms(100));
   EXPECT_EQ(fleet.migrations_completed(), 0u);
+}
+
+// -- FleetCheck fault injection -------------------------------------------------
+//
+// No public control-plane call breaks the two cluster rules, so each test
+// corrupts the fleet behind the controller's back, as check_test.cpp's
+// CheckInjection suite does for one machine, and the checker must name it.
+
+/// Two Credit hosts running `mover` on host 0, checked clean.
+struct FaultFleet {
+  cluster::Cluster fleet{cluster::Config{}, std::vector<cluster::HostSpec>(2),
+                         runner::scheduler_factory(runner::SchedKind::kCredit)};
+  cluster::FleetCheck check{fleet};
+  int mover = fleet.admit(hungry_vm("mover", 512 * kMiB, 2, /*host=*/0));
+
+  FaultFleet() {
+    fleet.start();
+    runner::run_cluster_until(fleet, nullptr, sim::Time::ms(20));
+    EXPECT_NO_THROW(check.expect_ok());
+  }
+
+  /// The cluster-level violations recorded so far.
+  std::vector<std::string> cluster_violations() const {
+    std::vector<std::string> out;
+    for (const auto& v : check.violations()) {
+      if (v.what.rfind("[cluster] ", 0) == 0) out.push_back(v.what);
+    }
+    return out;
+  }
+};
+
+TEST(FleetCheckInjection, ShadowIncarnationBreaksResidency) {
+  FaultFleet f;
+  // The bug: a second incarnation of `mover` that the control plane never
+  // created (a cutover that forgot to destroy its source would do this).
+  f.fleet.host(1).create_domain("mover", 512 * kMiB, 2,
+                                numa::PlacementPolicy::kFillFirst);
+  f.check.on_transition(f.fleet);
+  ASSERT_FALSE(f.check.ok());
+  EXPECT_EQ(f.cluster_violations(),
+            std::vector<std::string>{
+                "[cluster] vm 'mover' resident on 2 hosts (recorded host 0)"});
+
+  // expect_ok re-sweeps (a second report) and throws the violations,
+  // each stamped with the simulated time it was found at.
+  try {
+    f.check.expect_ok();
+    FAIL() << "expect_ok passed a fleet with a shadow incarnation";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("fleet invariant violations (2 total):", 0), 0u) << what;
+    EXPECT_NE(what.find("\n  [" + f.fleet.now().str() +
+                        "] [cluster] vm 'mover' resident on 2 hosts"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(FleetCheckInjection, LeakedReservationIsCaught) {
+  FaultFleet f;
+  // The bug: destination chunks reserved for a migration that is not in
+  // flight, so host 1 looks fuller than it is.
+  cluster::ClusterFaults::leak_reservation(f.fleet, 1, 3);
+  f.check.on_transition(f.fleet);
+  EXPECT_EQ(f.cluster_violations(),
+            std::vector<std::string>{
+                "[cluster] host 1 reservation out of balance: 3 chunks, no "
+                "inbound migration"});
+}
+
+TEST(FleetCheckInjection, NegativeReservationIsCaughtMidMigration) {
+  FaultFleet f;
+  ASSERT_TRUE(f.fleet.migrate(f.mover, 1));
+  ASSERT_TRUE(f.check.ok()) << "a migration in flight is no violation";
+  // The bug: the reservation released twice while the copy is running.
+  const std::int64_t reserved = f.fleet.reserved_chunks(1);
+  cluster::ClusterFaults::leak_reservation(f.fleet, 1, -2 * reserved);
+  f.check.on_transition(f.fleet);
+  EXPECT_EQ(f.cluster_violations(),
+            std::vector<std::string>{
+                "[cluster] host 1 reservation out of balance: " +
+                std::to_string(-reserved) + " chunks, with inbound migration"});
 }
 
 // -- Teardown -------------------------------------------------------------------

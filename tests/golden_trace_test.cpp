@@ -12,10 +12,11 @@
 // time via VPROBE_GOLDEN_DIR).
 //
 // The single-machine example scenarios (examples/scenarios/*.scn with a
-// `machine` directive) are pinned the same way in tests/golden/scenarios.txt:
-// an FNV-1a digest of run_scenario's JSON output, so the whole reported
-// result — runtimes, counters, migrations, serving stats — must stay
-// byte-identical.
+// `machine` directive), plus fleet_mix and spike_fleet run serially, are
+// pinned the same way in tests/golden/scenarios.txt: an FNV-1a digest of
+// run_scenario's JSON output, so the whole reported result — runtimes,
+// counters, migrations, serving stats, per-host and cluster rollups — must
+// stay byte-identical.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -206,18 +207,19 @@ INSTANTIATE_TEST_SUITE_P(AllSchedulers, GoldenTrace,
                                              runner::all_schedulers().end()),
                          sched_test_name);
 
-// -- Single-machine scenario outputs --------------------------------------------
+// -- Scenario outputs -----------------------------------------------------------
 
 std::string scenarios_golden_path() {
   return std::string(VPROBE_GOLDEN_DIR) + "/scenarios.txt";
 }
 
 constexpr const char* kScenarioGoldenHeader =
-    "# Single-machine scenario goldens: <scenario>_<scheduler> <json bytes>"
-    " <fnv1a-64 hex>\n"
+    "# Scenario goldens: <scenario>_<scheduler> <json bytes> <fnv1a-64 hex>\n"
     "# examples/scenarios/<scenario>.scn at its own seed, scheduler"
     " overridden;\n"
     "# the digest is FNV-1a over run_scenario's stats::to_json output.\n"
+    "# fleet_mix and spike_fleet run serially and pin the multi-host JSON\n"
+    "# (the hosts array and the cluster rollup).\n"
     "# Regenerate: VPROBE_UPDATE_GOLDEN=1 ctest -L golden\n";
 
 struct ScenarioCase {
@@ -241,8 +243,8 @@ TEST_P(GoldenScenario, JsonMatchesCheckedInDigest) {
   std::ostringstream text;
   text << in.rdbuf();
   runner::ScenarioSpec spec = runner::parse_scenario(text.str());
-  ASSERT_FALSE(spec.cluster_mode()) << key << " must be a single-machine spec";
   spec.sched = c.sched;
+  spec.sim_threads = 1;
 
   const stats::RunMetrics m = runner::run_scenario(spec);
   ASSERT_TRUE(m.completed) << key;
@@ -278,6 +280,14 @@ INSTANTIATE_TEST_SUITE_P(
                       ScenarioCase{"churn_mix", runner::SchedKind::kVprobe},
                       ScenarioCase{"four_node_mix", runner::SchedKind::kCredit},
                       ScenarioCase{"four_node_mix", runner::SchedKind::kVprobe}),
+    scenario_test_name);
+
+INSTANTIATE_TEST_SUITE_P(
+    FleetScenarios, GoldenScenario,
+    ::testing::Values(ScenarioCase{"fleet_mix", runner::SchedKind::kCredit},
+                      ScenarioCase{"fleet_mix", runner::SchedKind::kVprobe},
+                      ScenarioCase{"spike_fleet", runner::SchedKind::kCredit},
+                      ScenarioCase{"spike_fleet", runner::SchedKind::kVprobe}),
     scenario_test_name);
 
 }  // namespace

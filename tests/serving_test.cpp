@@ -29,6 +29,7 @@
 #include <map>
 #include <numbers>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -45,6 +46,18 @@
 #include "workload/arrival_ledger.hpp"
 #include "workload/kv_server.hpp"
 #include "workload/open_loop.hpp"
+
+namespace vprobe::wl {
+
+/// Breaks one RequestServer bookkeeping rule at a time.
+struct RequestServerFaults {
+  /// A batch counted as served whose sojourns were never recorded.
+  static void serve_unrecorded(RequestServer& s, int n) { s.served_ += n; }
+  /// Requests counted as queued that no arrival ledger holds.
+  static void queue_unledgered(RequestServer& s, int n) { s.queued_ += n; }
+};
+
+}  // namespace vprobe::wl
 
 namespace vprobe::test {
 namespace {
@@ -425,6 +438,75 @@ TEST(LazyArrivals, DirectSubmitsMixWithLazyProjections) {
   const auto lazy = run(true);
   EXPECT_GT(std::get<1>(eager), 5000u);
   EXPECT_EQ(lazy, eager);
+}
+
+// -- Conservation fault injection -----------------------------------------------
+//
+// check_conservation has three rules; each test breaks exactly one on a
+// running rig and requires the throw that names it.
+
+wl::OpenLoopClient::Config conservation_client() {
+  wl::OpenLoopClient::Config ocfg;
+  ocfg.rps = 20000.0;
+  ocfg.seed = 5;
+  ocfg.name = "client";
+  return ocfg;
+}
+
+/// A lazy client against a rig that has served traffic and passed the check.
+struct ConservationRig {
+  ServingRig rig = make_rig(23);
+  wl::OpenLoopClient client{rig.hv->engine(), conservation_client(),
+                            {rig.server.get()}};
+
+  ConservationRig() {
+    rig.hv->start();
+    client.start();
+    rig.hv->engine().run_until(sim::Time::ms(50));
+    EXPECT_GT(rig.server->served(), 0u);
+    client.check_conservation();
+  }
+
+  /// The message check_conservation throws, or "" when it passes.
+  std::string violation() const {
+    try {
+      client.check_conservation();
+    } catch (const std::logic_error& e) {
+      return e.what();
+    }
+    return "";
+  }
+};
+
+TEST(ConservationInjection, UnrecordedSojournsAreCaught) {
+  ConservationRig c;
+  wl::RequestServerFaults::serve_unrecorded(*c.rig.server, 3);
+  const std::string what = c.violation();
+  EXPECT_NE(what.find("serving conservation: kv:kv recorded "), std::string::npos)
+      << what;
+  EXPECT_NE(what.find(" sojourns for "), std::string::npos) << what;
+}
+
+TEST(ConservationInjection, UnledgeredQueuedRequestsAreCaught) {
+  ConservationRig c;
+  wl::RequestServerFaults::queue_unledgered(*c.rig.server, 2);
+  const std::string what = c.violation();
+  EXPECT_NE(what.find("serving conservation: kv:kv ledger holds "),
+            std::string::npos)
+      << what;
+  EXPECT_NE(what.find(" queued and in flight"), std::string::npos) << what;
+}
+
+TEST(ConservationInjection, RequestsFromASecondSourceAreCaught) {
+  // The rule assumes the client is the servers' only source: a direct
+  // submit makes the servers hold more than the client issued.
+  ConservationRig c;
+  c.rig.server->submit(7);
+  const std::string what = c.violation();
+  EXPECT_NE(what.find("serving conservation: client issued "), std::string::npos)
+      << what;
+  EXPECT_NE(what.find("(served+queued+in flight+due: kv:kv="), std::string::npos)
+      << what;
 }
 
 // -- The arrival ledger ---------------------------------------------------------
