@@ -10,7 +10,8 @@
 // Usage:
 //   engine_bench            full run, JSON results on stdout
 //   engine_bench --smoke    quick CI gate: asserts zero steady-state
-//                           allocations and exact fired-event totals; exit 1
+//                           allocations, exact fired-event totals, and that
+//                           cancelled events leave the queue at once; exit 1
 //                           on violation
 //
 // The speedups over the pre-slab engine recorded in BENCH_engine.json are
@@ -76,6 +77,9 @@ struct BenchResult {
   double events_per_sec = 0.0;
   std::uint64_t steady_allocs = 0;  // allocations in measured (post-warmup) rounds
   std::uint64_t fired = 0;
+  /// Cancel churn: rounds whose queued() right after the cancels was not
+  /// the live count (cancellation is eager, so this must stay 0).
+  std::uint64_t queued_mismatches = 0;
 };
 
 // One round schedules `n` one-shot events, each with a 16-byte capture (the
@@ -106,7 +110,7 @@ BenchResult bench_schedule_fire(int n, int rounds) {
 }
 
 // Schedule `n` events, cancel every other one through its handle, drain.
-// Exercises the lazy-deletion pop path and slot recycling under churn.
+// Exercises heap removal from the middle and slot recycling under churn.
 BenchResult bench_cancel_churn(int n, int rounds) {
   BenchResult r;
   Engine engine;
@@ -122,6 +126,7 @@ BenchResult bench_cancel_churn(int n, int rounds) {
           engine.schedule(Time::us(i), [&sum, i] { sum += static_cast<unsigned>(i); });
     }
     for (int i = 0; i < n; i += 2) handles[static_cast<std::size_t>(i)].cancel();
+    if (engine.queued() != static_cast<std::size_t>(n / 2)) ++r.queued_mismatches;
     r.fired += engine.run();
     const double t1 = now_sec();
     const std::uint64_t a1 = g_allocs.load(std::memory_order_relaxed);
@@ -198,6 +203,8 @@ void print_result(const char* name, const BenchResult& r, std::uint64_t expected
   std::printf("      \"steady_allocs\": %llu,\n",
               static_cast<unsigned long long>(r.steady_allocs));
   std::printf("      \"fired\": %llu,\n", static_cast<unsigned long long>(r.fired));
+  std::printf("      \"queued_mismatches\": %llu,\n",
+              static_cast<unsigned long long>(r.queued_mismatches));
   std::printf("      \"expected_fired\": %llu\n",
               static_cast<unsigned long long>(expected));
   std::printf("    }");
@@ -229,14 +236,18 @@ int main(int argc, char** argv) {
   // The engine's claim: steady-state dispatch performs zero heap allocations.
   ok &= sf.steady_allocs == 0;
   ok &= cc.steady_allocs == 0;
+  // Eager cancellation: the queue holds only the live half after the cancels.
+  ok &= cc.queued_mismatches == 0;
 
   if (smoke) {
     std::printf("engine_bench --smoke: schedule_fire %.0f ev/s, cancel %.0f ev/s, "
                 "periodic %.0f ev/s; steady allocs %llu/%llu (want 0/0); "
+                "queued-after-cancel mismatches %llu (want 0); "
                 "fired %llu/%llu/%llu (want %llu/%llu/%llu) %s\n",
                 sf.events_per_sec, cc.events_per_sec, pc.events_per_sec,
                 static_cast<unsigned long long>(sf.steady_allocs),
                 static_cast<unsigned long long>(cc.steady_allocs),
+                static_cast<unsigned long long>(cc.queued_mismatches),
                 static_cast<unsigned long long>(sf.fired),
                 static_cast<unsigned long long>(cc.fired),
                 static_cast<unsigned long long>(pc.fired),

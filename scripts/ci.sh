@@ -20,6 +20,11 @@ echo "== lifecycle churn fuzzer smoke (shorter op sequences than the ctest run) 
 echo "== perf suite smoke (replica == entry point, recorded digests, declared metric names) =="
 python3 perfsuite/run.py --smoke
 
+echo "== debug preset: tier-1 suite with asserts on (every other preset defines NDEBUG) =="
+cmake --preset debug
+cmake --build --preset debug -j "$JOBS"
+ctest --preset debug -j "$JOBS"
+
 echo "== tsan preset: parallel-executor tests under ThreadSanitizer =="
 cmake --preset tsan
 cmake --build --preset tsan -j "$JOBS"

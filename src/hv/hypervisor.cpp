@@ -27,9 +27,7 @@ Hypervisor::Hypervisor(Config config, std::unique_ptr<Scheduler> scheduler,
       scheduler_(std::move(scheduler)),
       occupied_pcpus_(topology_.num_pcpus()) {
   if (!scheduler_) throw std::invalid_argument("Hypervisor: scheduler is null");
-  cost_model_.set_cache_enabled(config_.rate_cache);
   machine_state_.set_decay_caches(config_.rate_cache);
-  cost_model_.resize_cache(static_cast<std::size_t>(topology_.num_pcpus()));
   pcpus_.resize(static_cast<std::size_t>(topology_.num_pcpus()));
   for (int p = 0; p < topology_.num_pcpus(); ++p) {
     Pcpu& pcpu = pcpus_[static_cast<std::size_t>(p)];
@@ -553,9 +551,8 @@ void Hypervisor::start_segment(Pcpu& p) {
     assert(p.slice_end > now && "slice-clamp fast path needs a future slice end");
     seg_end = p.slice_end;
   } else {
-    const double nspi = cost_model_.ns_per_instr_cached(
-        static_cast<std::size_t>(p.id), plan.profile, p.node,
-        v.warmth.extra_miss_rate(), now);
+    const double nspi = cost_model_.ns_per_instr(
+        plan.profile, p.node, v.warmth.extra_miss_rate(), now);
     const double burst_ns = plan.instructions * nspi;
     seg_end = now + p.pending_stall +
               sim::Time::ns(static_cast<std::int64_t>(
@@ -581,13 +578,10 @@ double Hypervisor::settle_segment(Pcpu& p) {
   const sim::Time work_time = elapsed - stall_used;
 
   // Settlement recomputes rates at the segment's *start* time — the same
-  // `now` the prediction in start_segment used, so when no contention
-  // version moved while the segment ran this reuses the PCPU's own
-  // start-of-segment snapshot verbatim.
-  perf::ExecResult res = cost_model_.run_cached(
-      static_cast<std::size_t>(p.id), p.burst.profile, p.node,
-      v.warmth.extra_miss_rate(), p.burst.instructions, work_time,
-      p.segment_start);
+  // `now` the prediction in start_segment used.
+  perf::ExecResult res = cost_model_.run(
+      p.burst.profile, p.node, v.warmth.extra_miss_rate(),
+      p.burst.instructions, work_time, p.segment_start);
   v.pmu.add(res.counters);
   v.warmth.on_executed(res.instructions);
   v.cpu_time += res.elapsed;

@@ -50,11 +50,10 @@ class Hypervisor {
     /// (Section IV-B: counters are updated before each VCPU switch).
     sim::Time pmu_save_restore_cost = sim::Time::ns(400);
     std::uint64_t seed = 1;
-    /// Version-keyed memoization of the per-segment cost-model rates, the
-    /// tracker decay-factor memos, and the unchanged-burst reuse in
-    /// start_segment.  Every reuse path is bit-identical by construction;
-    /// `false` (the --no-rate-cache escape hatch) recomputes everything so
-    /// differential tests can prove it.
+    /// The slice-clamp fast path and the unchanged-burst reuse in
+    /// start_segment, and the tracker decay-factor memos.  Every reuse path
+    /// is bit-identical by construction; `false` (the --no-rate-cache escape
+    /// hatch) recomputes everything so differential tests can prove it.
     bool rate_cache = true;
     /// Which machine of a fleet this is (cluster runs); purely a label for
     /// traces/logs — per-host behaviour is driven by `machine` and `seed`.

@@ -35,7 +35,6 @@ class Interconnect {
     if (from == to) return;  // local accesses never touch the fabric
     links_[link_index(from, to)].record(bytes, now, duration);
     total_bytes_ += bytes;
-    ++version_;
   }
 
   /// Utilisation of the (from, to) link in [0, ~).
@@ -54,19 +53,6 @@ class Interconnect {
   double link_bandwidth_bytes_per_s() const { return link_bw_; }
   double total_bytes() const { return total_bytes_; }
 
-  /// Bumped on every effective mutation (`record_traffic` with `from !=
-  /// to`); never decreases.
-  std::uint64_t version() const { return version_; }
-
-  /// Every link tracker idle: `remote_extra_ns()` reduces to the constant
-  /// base latency on every link, for any `now`.
-  bool idle() const {
-    for (const RateTracker& link : links_) {
-      if (!link.idle()) return false;
-    }
-    return true;
-  }
-
   void set_decay_cache(bool enabled) {
     for (RateTracker& link : links_) link.set_decay_cache(enabled);
   }
@@ -83,7 +69,6 @@ class Interconnect {
   double queueing_slope_ns_;
   std::vector<RateTracker> links_;  // row-major [from][to]
   double total_bytes_ = 0.0;
-  std::uint64_t version_ = 0;
 };
 
 }  // namespace vprobe::numa

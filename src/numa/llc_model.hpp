@@ -37,7 +37,6 @@ class LlcModel {
   /// Register (or update) the cache demand of an occupant, keyed by an
   /// opaque id (the VCPU's global id).  Demand is working-set bytes.
   void set_demand(std::uint64_t occupant, double demand_bytes) {
-    ++version_;
     for (Entry& e : demand_) {
       if (e.occupant == occupant) {
         total_demand_ += demand_bytes - e.demand;
@@ -55,7 +54,6 @@ class LlcModel {
   void remove(std::uint64_t occupant) {
     for (Entry& e : demand_) {
       if (e.occupant == occupant) {
-        ++version_;
         total_demand_ -= e.demand;
         clamp_total();
         e = demand_.back();  // order is irrelevant: reads only use the total
@@ -63,7 +61,6 @@ class LlcModel {
         return;
       }
     }
-    // no-op: nothing changed, no version bump
   }
 
   /// Fraction of aggregate demand that does not fit: in [0, 1).
@@ -87,12 +84,6 @@ class LlcModel {
   double total_demand_bytes() const { return total_demand_; }
   int occupants() const { return static_cast<int>(demand_.size()); }
 
-  /// Bumped on every mutation (`set_demand`, and `remove` of a present
-  /// occupant); never decreases.  While it holds still, `overcommit()` and
-  /// `miss_rate()` are pure functions of their arguments — which is what
-  /// lets the cost model reuse a memoized rate snapshot.
-  std::uint64_t version() const { return version_; }
-
  private:
   struct Entry {
     std::uint64_t occupant;
@@ -106,7 +97,6 @@ class LlcModel {
 
   double capacity_;
   double total_demand_ = 0.0;
-  std::uint64_t version_ = 0;
   std::vector<Entry> demand_;
 };
 

@@ -52,17 +52,7 @@ class MemController {
   void set_limits(double rho_max, double max_factor) {
     rho_max_ = rho_max;
     max_factor_ = max_factor;
-    ++limits_version_;
   }
-
-  /// Bumped on every mutation (`record_traffic`, `set_limits`); never
-  /// decreases.  While it holds still, `latency_factor(now)` depends only
-  /// on `now` — and not even on that when `idle()`.
-  std::uint64_t version() const { return tracker_.version() + limits_version_; }
-
-  /// No traffic live in the tracker: `latency_factor()` is exactly 1/(1-0)
-  /// clamped — the same value for any `now`.
-  bool idle() const { return tracker_.idle(); }
 
   void set_decay_cache(bool enabled) { tracker_.set_decay_cache(enabled); }
 
@@ -72,7 +62,6 @@ class MemController {
   double max_factor_ = 8.0;
   RateTracker tracker_;
   double total_bytes_ = 0.0;
-  std::uint64_t limits_version_ = 0;
 };
 
 }  // namespace vprobe::numa

@@ -9,8 +9,7 @@
 // Hot-path notes (all bit-identical to the naive formulation):
 //  - An idle tracker (`rate_ == 0.0`) short-circuits both `rate()` and
 //    `decay_to()`: 0 * exp(x) == +0.0 for every finite x, so the exp can be
-//    skipped outright.  This also makes an idle tracker's reads
-//    time-invariant, which the cost-model memo exploits.
+//    skipped outright.
 //  - Decay factors are memoized by their exact integer-nanosecond `dt` key
 //    (segment durations repeat heavily: 10 ms ticks, 30 ms slices), so the
 //    common repeated `std::exp(-dt/tau)` collapses to a table hit that
@@ -21,10 +20,6 @@
 //    general), which would break the byte-identical golden traces — so the
 //    division stays and the transcendental, not the divide, is what the
 //    cache removes.
-//
-// A monotonically increasing version counter is bumped on every mutation
-// (`record()`/`reset()`); the cost model keys its memoized rate snapshots on
-// it, so a snapshot is reused only when no traffic has been recorded since.
 #pragma once
 
 #include <cmath>
@@ -52,7 +47,6 @@ class RateTracker {
     (void)duration;
     decay_to(now);
     rate_ += amount / tau_s_;
-    ++version_;
   }
 
   /// Current smoothed rate (amount per second) as of `now`.
@@ -63,24 +57,10 @@ class RateTracker {
     return rate_ * decay_factor(dt);
   }
 
-  /// True when no contribution is live: every read returns 0.0 regardless
-  /// of `now`.  Consumers (the cost-model memo) use this to mark snapshots
-  /// taken against an idle fabric as valid at any time.
-  bool idle() const { return rate_ == 0.0; }
-
-  /// Bumped on every mutation; never decreases.
-  std::uint64_t version() const { return version_; }
-
   /// Enable/disable the exact-key decay-factor memo (it is bit-identical by
   /// construction; the switch exists so the differential cache-on/off tests
   /// can cover the uncached expression too).
   void set_decay_cache(bool enabled) { decay_cache_enabled_ = enabled; }
-
-  void reset() {
-    rate_ = 0.0;
-    last_ = sim::Time::zero();
-    ++version_;
-  }
 
  private:
   void decay_to(sim::Time now) {
@@ -124,7 +104,6 @@ class RateTracker {
   double tau_s_;
   double rate_ = 0.0;
   sim::Time last_ = sim::Time::zero();
-  std::uint64_t version_ = 0;
   bool decay_cache_enabled_ = true;
   mutable DecayEntry decay_cache_[1u << kDecayCacheBits];
 };

@@ -47,38 +47,6 @@ class MachineState {
     llc(node).remove(occupant);
   }
 
-  // -- Versioning (cost-model memo keys) --------------------------------------
-  //
-  // Every component carries a monotone version counter bumped on mutation;
-  // the aggregates below are sums of monotone counters, so "aggregate
-  // unchanged" proves "no component changed".  A new contention component
-  // must add its counter to these sums (and to `fabric_idle()` if its reads
-  // depend on `now`) or the memo will serve stale snapshots.
-
-  /// Everything: LLC demand maps plus the whole fabric.
-  std::uint64_t version() const {
-    std::uint64_t v = fabric_version();
-    for (const numa::LlcModel& llc : llcs_) v += llc.version();
-    return v;
-  }
-
-  /// The time-dependent parts only: IMC trackers + interconnect links.
-  std::uint64_t fabric_version() const {
-    std::uint64_t v = interconnect_.version();
-    for (const numa::MemController& imc : imcs_) v += imc.version();
-    return v;
-  }
-
-  /// True when every IMC and interconnect tracker is idle — then every
-  /// latency factor is a constant and rate snapshots are valid at any
-  /// `now`, not just the one they were taken at.
-  bool fabric_idle() const {
-    for (const numa::MemController& imc : imcs_) {
-      if (!imc.idle()) return false;
-    }
-    return interconnect_.idle();
-  }
-
   /// Enable/disable the bit-identical decay-factor memos in every tracker
   /// (the --no-rate-cache escape hatch reaches here).
   void set_decay_caches(bool enabled) {

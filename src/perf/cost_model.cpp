@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 
 namespace vprobe::perf {
 
@@ -65,65 +64,18 @@ CostModel::Rates CostModel::compute_rates(const SliceProfile& profile,
 }
 
 double CostModel::ns_per_instr(const SliceProfile& profile, numa::NodeId run_node,
-                               double extra_cold_miss, sim::Time now) const {
+                               double extra_cold_miss, sim::Time now) {
+  ++stats_.misses;
   return compute_rates(profile, run_node, extra_cold_miss, now).ns_per_instr;
 }
 
-const CostModel::Rates& CostModel::rates_cached(std::size_t slot,
-                                                const SliceProfile& profile,
-                                                numa::NodeId run_node,
-                                                double extra_cold_miss,
-                                                sim::Time now) {
-  Slot& s = slot < slots_.size() ? slots_[slot] : fallback_slot_;
-  const std::uint64_t llc_version = state_.llc(run_node).version();
-  const std::uint64_t fabric_version = state_.fabric_version();
-  const std::span<const double> frac = profile.node_fractions;
-
-  // A hit requires every input of compute_rates() to be provably unchanged:
-  // the scalar keys bit-equal (memcmp, so even -0.0 vs +0.0 misses rather
-  // than risking a sign difference downstream), the version counters still,
-  // and `now` either equal to the snapshot's or irrelevant because the
-  // fabric was idle when the snapshot was taken (idle trackers read 0.0 at
-  // any time, and "no version moved" proves they are still idle).
-  if (cache_enabled_ && s.valid && s.run_node == run_node &&
-      s.llc_version == llc_version && s.fabric_version == fabric_version &&
-      (s.now == now || s.fabric_idle) && s.frac_count == frac.size() &&
-      std::memcmp(&s.rpti, &profile.rpti, sizeof(double)) == 0 &&
-      std::memcmp(&s.solo_miss, &profile.solo_miss, sizeof(double)) == 0 &&
-      std::memcmp(&s.miss_sensitivity, &profile.miss_sensitivity,
-                  sizeof(double)) == 0 &&
-      std::memcmp(&s.extra_cold_miss, &extra_cold_miss, sizeof(double)) == 0 &&
-      (frac.empty() ||
-       std::memcmp(s.input_frac.data(), frac.data(),
-                   std::min(frac.size(), s.input_frac.size()) *
-                       sizeof(double)) == 0)) {
-    ++stats_.hits;
-    return s.rates;
-  }
+ExecResult CostModel::run(const SliceProfile& profile, numa::NodeId run_node,
+                          double extra_cold_miss, double max_instructions,
+                          sim::Time max_time, sim::Time now) {
+  if (max_instructions <= 0.0 || max_time <= sim::Time::zero()) return {};
   ++stats_.misses;
+  const Rates r = compute_rates(profile, run_node, extra_cold_miss, now);
 
-  s.rates = compute_rates(profile, run_node, extra_cold_miss, now);
-  s.valid = true;
-  s.fabric_idle = state_.fabric_idle();
-  s.run_node = run_node;
-  s.rpti = profile.rpti;
-  s.solo_miss = profile.solo_miss;
-  s.miss_sensitivity = profile.miss_sensitivity;
-  s.extra_cold_miss = extra_cold_miss;
-  s.frac_count = frac.size();
-  if (!frac.empty()) {
-    const std::size_t n = std::min(frac.size(), s.input_frac.size());
-    std::memcpy(s.input_frac.data(), frac.data(), n * sizeof(double));
-  }
-  s.now = now;
-  s.llc_version = llc_version;
-  s.fabric_version = fabric_version;
-  return s.rates;
-}
-
-ExecResult CostModel::finish_run(const Rates& r, numa::NodeId run_node,
-                                 double max_instructions, sim::Time max_time,
-                                 sim::Time now) {
   ExecResult out;
   out.ns_per_instr = r.ns_per_instr;
 
@@ -153,37 +105,6 @@ ExecResult CostModel::finish_run(const Rates& r, numa::NodeId run_node,
     }
   }
   return out;
-}
-
-ExecResult CostModel::run(const SliceProfile& profile, numa::NodeId run_node,
-                          double extra_cold_miss, double max_instructions,
-                          sim::Time max_time, sim::Time now) {
-  if (max_instructions <= 0.0 || max_time <= sim::Time::zero()) return {};
-  const Rates r = compute_rates(profile, run_node, extra_cold_miss, now);
-  return finish_run(r, run_node, max_instructions, max_time, now);
-}
-
-double CostModel::ns_per_instr_cached(std::size_t slot,
-                                      const SliceProfile& profile,
-                                      numa::NodeId run_node,
-                                      double extra_cold_miss, sim::Time now) {
-  return rates_cached(slot, profile, run_node, extra_cold_miss, now).ns_per_instr;
-}
-
-ExecResult CostModel::run_cached(std::size_t slot, const SliceProfile& profile,
-                                 numa::NodeId run_node, double extra_cold_miss,
-                                 double max_instructions, sim::Time max_time,
-                                 sim::Time now) {
-  if (max_instructions <= 0.0 || max_time <= sim::Time::zero()) return {};
-  // The settlement of a segment passes the same `now` the prediction used
-  // (the segment's start time); if no contention version moved while the
-  // segment ran, this is a guaranteed hit on the PCPU's own snapshot.
-  // The Rates must be copied out before finish_run: depositing traffic
-  // bumps the fabric trackers, which is a mutation of `state_`, not of the
-  // snapshot — but finish_run only reads `r`, so a reference would also be
-  // safe; the copy keeps the slot reusable mid-call if that ever changes.
-  const Rates r = rates_cached(slot, profile, run_node, extra_cold_miss, now);
-  return finish_run(r, run_node, max_instructions, max_time, now);
 }
 
 }  // namespace vprobe::perf

@@ -16,23 +16,18 @@
 // LLC contention (via MachineState's shared-cache model plus cold-cache
 // boost after migration).
 //
-// Memoization: the hypervisor computes rates twice per segment (prediction
-// at segment start, settlement at segment end) with inputs that are almost
-// always unchanged.  Each PCPU owns a cache slot keyed on the profile
-// fields, run node, cold-miss boost, the raw node fractions, and the
-// contention-state version counters; a slot additionally records whether
-// the fabric was idle when it was filled, in which case it is valid at any
-// `now` (an idle tracker reads 0.0 regardless of time).  Hits return the
-// exact Rates the full recomputation would produce — reuse is only ever
-// claimed when it is provably bit-identical, never approximate.  See
-// docs/PERF.md for the invariants.
+// No memo: every prediction and settlement evaluates compute_rates() in
+// full.  A per-PCPU memo keyed on contention version counters used to sit
+// here; it hit only 14–22% of lookups, because every other PCPU's traffic
+// moves the fabric counters, and its key compares and stores cost more than
+// the evaluations it saved.  docs/PERF.md has the measurement that retired
+// it.
 #pragma once
 
 #include <array>
 #include <cassert>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "numa/machine_config.hpp"
 #include "perf/contention.hpp"
@@ -64,18 +59,17 @@ class CostModel {
  public:
   CostModel(const numa::MachineConfig& cfg, MachineState& state)
       : cfg_(cfg), state_(state) {
-    // The memo compares at most pmu::kMaxNodes node fractions (the size of
-    // Slot::input_frac and Rates::node_frac); a machine with more nodes
-    // would turn that truncated compare into a silent false-hit source.
+    // Rates::node_frac holds pmu::kMaxNodes entries.
     assert(state_.num_nodes() <= pmu::kMaxNodes &&
-           "CostModel memo supports at most pmu::kMaxNodes NUMA nodes");
+           "CostModel supports at most pmu::kMaxNodes NUMA nodes");
   }
 
   /// Nanoseconds per instruction for `profile` running on `run_node` right
   /// now with the given cache warmth (in [0,1]; extra_cold_miss is added to
-  /// the contended miss rate).  Pure read — no state is modified.
+  /// the contended miss rate).  Reads the contention state; only the
+  /// evaluation counter in cache_stats() changes.
   double ns_per_instr(const SliceProfile& profile, numa::NodeId run_node,
-                      double extra_cold_miss, sim::Time now) const;
+                      double extra_cold_miss, sim::Time now);
 
   /// Execute up to `max_instructions` of `profile` on `run_node` within a
   /// wall budget of `max_time`.  Returns what retired; deposits the traffic
@@ -84,36 +78,17 @@ class CostModel {
                  double extra_cold_miss, double max_instructions,
                  sim::Time max_time, sim::Time now);
 
-  // -- Memoized variants (hypervisor hot path) --------------------------------
-
-  /// One cache slot per caller context (the hypervisor uses one per PCPU,
-  /// so a segment's settlement finds its own start-of-segment snapshot).
-  void resize_cache(std::size_t slots) { slots_.assign(slots, Slot{}); }
-
-  /// Master switch (the --no-rate-cache escape hatch).  Off: the *_cached
-  /// entry points recompute unconditionally — provably the same numbers.
-  void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
-
-  double ns_per_instr_cached(std::size_t slot, const SliceProfile& profile,
-                             numa::NodeId run_node, double extra_cold_miss,
-                             sim::Time now);
-
   /// Hard floor on ns_per_instr for ANY profile/contention state: every
   /// cost term beyond base_cpi/clock is non-negative.  Callers use it to
   /// prove a burst cannot finish inside a window without evaluating rates.
   double min_ns_per_instr() const { return cfg_.base_cpi / cfg_.clock_ghz; }
-  ExecResult run_cached(std::size_t slot, const SliceProfile& profile,
-                        numa::NodeId run_node, double extra_cold_miss,
-                        double max_instructions, sim::Time max_time,
-                        sim::Time now);
 
+  /// Rate evaluations made by ns_per_instr() and run().  With no memo every
+  /// evaluation is a miss: `hits` stays 0, and `misses` counts the lookups
+  /// the perf suite reports as `perf.rate_lookups`.
   struct CacheStats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    double hit_rate() const {
-      const std::uint64_t total = hits + misses;
-      return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
-    }
   };
   const CacheStats& cache_stats() const { return stats_; }
 
@@ -130,35 +105,8 @@ class CostModel {
   Rates compute_rates(const SliceProfile& profile, numa::NodeId run_node,
                       double extra_cold_miss, sim::Time now) const;
 
-  /// Versioned per-PCPU snapshot of one compute_rates() evaluation.
-  struct Slot {
-    bool valid = false;
-    bool fabric_idle = false;  ///< taken against an idle fabric: any `now` hits
-    numa::NodeId run_node = numa::kInvalidNode;
-    double rpti = 0.0;
-    double solo_miss = 0.0;
-    double miss_sensitivity = 0.0;
-    double extra_cold_miss = 0.0;
-    std::size_t frac_count = 0;
-    std::array<double, pmu::kMaxNodes> input_frac{};  ///< raw, as passed in
-    sim::Time now;
-    std::uint64_t llc_version = 0;
-    std::uint64_t fabric_version = 0;
-    Rates rates;
-  };
-
-  const Rates& rates_cached(std::size_t slot, const SliceProfile& profile,
-                            numa::NodeId run_node, double extra_cold_miss,
-                            sim::Time now);
-  ExecResult finish_run(const Rates& r, numa::NodeId run_node,
-                        double max_instructions, sim::Time max_time,
-                        sim::Time now);
-
   const numa::MachineConfig& cfg_;
   MachineState& state_;
-  bool cache_enabled_ = true;
-  std::vector<Slot> slots_;
-  Slot fallback_slot_;  ///< used when a slot index is out of range
   CacheStats stats_;
 };
 

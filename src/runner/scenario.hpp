@@ -40,8 +40,9 @@ std::span<const SchedKind> all_schedulers();
 struct SchedulerOptions {
   sim::Time sampling_period = sim::Time::sec(1);
   bool dynamic_bounds = false;  ///< future-work extension (vProbe family)
-  /// Version-keyed cost-model memoization (bit-identical; see docs/PERF.md).
-  /// false = the --no-rate-cache escape hatch: recompute everything.
+  /// Bit-identical reuse in the segment path (Hypervisor::Config::rate_cache,
+  /// docs/PERF.md).  false = the --no-rate-cache escape hatch: recompute
+  /// everything.
   bool rate_cache = true;
 };
 

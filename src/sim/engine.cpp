@@ -17,14 +17,23 @@ bool EventHandle::pending() const {
 void Engine::cancel(std::uint32_t idx, std::uint32_t gen) {
   Slot& s = slot(idx);
   if (s.gen != gen || s.state == Slot::State::kFree) return;  // stale handle
-  s.cancelled = true;
+  if (s.state == Slot::State::kQueued) {
+    assert(heap_[pos_[idx]].slot == idx && "stale heap position index");
+    heap_remove(pos_[idx]);
+    free_slot(idx);
+    return;
+  }
+  // Firing: its callback is on the stack.  A zero period makes pop_one()
+  // free the slot instead of re-arming it when the callback returns.
+  s.period = Time::zero();
 }
 
 bool Engine::is_pending(std::uint32_t idx, std::uint32_t gen) const {
   const Slot& s = slot(idx);
-  if (s.gen != gen || s.cancelled) return false;
+  if (s.gen != gen) return false;
   // A one-shot is no longer pending while (or after) its callback runs; a
-  // periodic chain stays pending across firings until cancelled.
+  // periodic chain stays pending across firings until cancelled (which
+  // zeroes its period).
   return s.state == Slot::State::kQueued ||
          (s.state == Slot::State::kFiring && s.period > Time::zero());
 }
@@ -34,6 +43,7 @@ bool Engine::is_pending(std::uint32_t idx, std::uint32_t gen) const {
 void Engine::grow_slab() {
   const auto base = static_cast<std::uint32_t>(chunks_.size()) * kChunkSize;
   chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
+  pos_.resize(slab_slots());
   Slot* chunk = chunks_.back().get();
   // Link low indices at the head so allocation order is deterministic.
   for (std::uint32_t i = kChunkSize; i-- > 0;) {
@@ -48,7 +58,6 @@ std::uint32_t Engine::alloc_slot() {
   Slot& s = slot(idx);
   free_head_ = s.next_free;
   s.state = Slot::State::kQueued;
-  s.cancelled = false;
   return idx;
 }
 
@@ -58,7 +67,6 @@ void Engine::free_slot(std::uint32_t idx) {
   s.period = Time::zero();
   ++s.gen;  // invalidate every outstanding handle to this slot
   s.state = Slot::State::kFree;
-  s.cancelled = false;
   s.next_free = free_head_;
   free_head_ = idx;
 }
@@ -69,27 +77,21 @@ void Engine::free_slot(std::uint32_t idx) {
 // children of a node sit in at most two cache lines, so the pop-side
 // sift-down — the dominant cost of a large event queue — takes roughly half
 // the cache misses.  Both sifts move the displaced entry through a hole
-// instead of swapping, halving data movement per level.
+// instead of swapping, halving data movement per level.  Every entry that
+// lands in a hole goes through place(), which keeps pos_ current.
 
-void Engine::heap_push(HeapEntry e) {
-  std::size_t i = heap_.size();
-  heap_.push_back(e);  // reserve the spot; overwritten below if e sifts up
+void Engine::sift_up(std::size_t i, HeapEntry e) {
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
     if (!earlier(e, heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    place(i, heap_[parent]);
     i = parent;
   }
-  heap_[i] = e;
+  place(i, e);
 }
 
-void Engine::heap_pop() {
-  assert(!heap_.empty());
-  const HeapEntry last = heap_.back();
-  heap_.pop_back();
+void Engine::sift_down(std::size_t i, HeapEntry e) {
   const std::size_t n = heap_.size();
-  if (n == 0) return;
-  std::size_t i = 0;
   for (;;) {
     const std::size_t first = 4 * i + 1;
     if (first >= n) break;
@@ -98,36 +100,44 @@ void Engine::heap_pop() {
     for (std::size_t c = first + 1; c < end; ++c) {
       if (earlier(heap_[c], heap_[best])) best = c;
     }
-    if (!earlier(heap_[best], last)) break;
-    heap_[i] = heap_[best];
+    if (!earlier(heap_[best], e)) break;
+    place(i, heap_[best]);
     i = best;
   }
-  heap_[i] = last;
+  place(i, e);
 }
 
-const Engine::HeapEntry* Engine::live_top() {
-  while (!heap_.empty()) {
-    const HeapEntry& top = heap_.front();
-    if (!slot(top.slot).cancelled) return &top;
-    const std::uint32_t idx = top.slot;
-    heap_pop();
-    free_slot(idx);
+void Engine::heap_push(HeapEntry e) {
+  heap_.push_back(e);  // reserve the spot; overwritten if e sifts up
+  sift_up(heap_.size() - 1, e);
+}
+
+void Engine::heap_remove(std::size_t i) {
+  assert(i < heap_.size());
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;  // removed the last entry itself
+  // `last` refills the hole at i: it may belong above i (a removal from the
+  // middle of the heap) or below it, never both.
+  if (i > 0 && earlier(last, heap_[(i - 1) / 4])) {
+    sift_up(i, last);
+  } else {
+    sift_down(i, last);
   }
-  return nullptr;
 }
 
 // --------------------------------------------------------------- running ----
 
 bool Engine::pop_one() {
-  const HeapEntry* top_ptr = live_top();
-  if (top_ptr == nullptr) return false;
-  const HeapEntry top = *top_ptr;  // heap_pop() invalidates the pointer
+  if (heap_.empty()) return false;
+  const HeapEntry top = heap_.front();
   Slot& s = slot(top.slot);
   assert(top.when >= now_);
+  assert(pos_[top.slot] == 0 && s.state == Slot::State::kQueued);
 #if defined(VPROBE_CHECKS)
   if (observer_ != nullptr) observer_->on_event(top.when, top.seq);
 #endif
-  heap_pop();
+  heap_remove(0);
   now_ = top.when;
   ++executed_;
   // Run the callback in place: slot addresses are stable, and the kFiring
@@ -138,7 +148,7 @@ bool Engine::pop_one() {
   firing_slot_ = top.slot;
   s.fn();
   firing_slot_ = kNil;
-  if (s.period > Time::zero() && !s.cancelled) {
+  if (s.period > Time::zero()) {
     // Periodic: re-arm the same slot with a fresh sequence number — drawn
     // right after the callback returned, exactly where the old trampoline
     // assigned it (keeps equal-time FIFO order, and so golden traces, intact).
@@ -152,10 +162,7 @@ bool Engine::pop_one() {
 
 std::size_t Engine::run_until(Time deadline) {
   std::size_t n = 0;
-  // live_top() already skips (and frees) cancelled entries without
-  // advancing the clock; no separate skip loop needed here.
-  while (const HeapEntry* top = live_top()) {
-    if (top->when > deadline) break;
+  while (!heap_.empty() && heap_.front().when <= deadline) {
     pop_one();
     ++n;
   }
@@ -165,18 +172,12 @@ std::size_t Engine::run_until(Time deadline) {
 
 std::size_t Engine::run_before(Time deadline) {
   std::size_t n = 0;
-  while (const HeapEntry* top = live_top()) {
-    if (top->when >= deadline) break;
+  while (!heap_.empty() && heap_.front().when < deadline) {
     pop_one();
     ++n;
   }
   if (now_ < deadline) now_ = deadline;
   return n;
-}
-
-Time Engine::next_event_time() {
-  const HeapEntry* top = live_top();
-  return top != nullptr ? top->when : Time::max();
 }
 
 void Engine::advance_to(Time deadline) {
@@ -194,13 +195,13 @@ void Engine::clear() {
   heap_.clear();  // entries are PODs: no pops, no per-event heap repair
   // Rebuild the free list from scratch (low indices at the head, matching
   // grow_slab's deterministic order).  A periodic slot whose callback is
-  // currently executing must not be freed out from under itself: mark it
-  // cancelled and let pop_one() free it when the callback returns.
+  // currently executing must not be freed out from under itself: zero its
+  // period and let pop_one() free it when the callback returns.
   free_head_ = kNil;
   for (auto idx = static_cast<std::uint32_t>(slab_slots()); idx-- > 0;) {
     Slot& s = slot(idx);
     if (idx == firing_slot_) {
-      s.cancelled = true;
+      s.period = Time::zero();
       continue;
     }
     if (s.state != Slot::State::kFree) {
@@ -208,7 +209,6 @@ void Engine::clear() {
       s.period = Time::zero();
       ++s.gen;
       s.state = Slot::State::kFree;
-      s.cancelled = false;
     }
     s.next_free = free_head_;
     free_head_ = idx;

@@ -11,9 +11,10 @@
 //    chunk-allocated slots recycled through a free list; slot addresses are
 //    stable for the engine's lifetime, so a periodic timer's callback can
 //    run in place while other events are scheduled.
-//  * The priority queue is an in-house binary heap of 24-byte plain entries
+//  * The priority queue is an in-house 4-ary heap of 24-byte plain entries
 //    {when, seq, slot} over a contiguous vector — pops move integers, never
-//    closures.
+//    closures.  A dense position index (slot -> heap index) lets cancel()
+//    remove a queued entry at once, so the heap holds live events only.
 //  * Handles are {slot index, generation} values; a freed slot bumps its
 //    generation so stale handles see pending() == false and cancel() as a
 //    no-op.  No shared_ptr control blocks.
@@ -137,10 +138,11 @@ class Engine {
   /// on the control engine first.  Returns the number of events run.
   std::size_t run_before(Time deadline);
 
-  /// Earliest pending event's time, skipping (and lazily freeing)
-  /// cancelled entries; Time::max() when the queue is empty.  The PDES
-  /// synchronizer sizes each conservative window with this.
-  Time next_event_time();
+  /// Earliest pending event's time; Time::max() when the queue is empty.
+  /// The PDES synchronizer sizes each conservative window with this.
+  Time next_event_time() const {
+    return heap_.empty() ? Time::max() : heap_.front().when;
+  }
 
   /// Advance the clock to `deadline` without firing anything.  The caller
   /// guarantees no pending event lies strictly before `deadline` (asserted
@@ -160,7 +162,8 @@ class Engine {
   /// cancelled rather than freed out from under itself.
   void clear();
 
-  /// Number of events currently queued (including cancelled-but-unpopped).
+  /// Number of live events currently queued.  Cancelled events leave the
+  /// queue at once; a callback that is running is not counted.
   std::size_t queued() const { return heap_.size(); }
 
   /// Total events executed since construction.
@@ -180,7 +183,9 @@ class Engine {
 
   /// One pooled event.  `gen` counts reuses of this slot; handles carry the
   /// generation they were minted with, so a recycled slot invalidates every
-  /// stale handle.  `period > 0` marks a periodic chain.
+  /// stale handle.  `period > 0` marks a periodic chain.  A queued slot is
+  /// removed and freed at once on cancel; a kFiring one has its period
+  /// zeroed, so pop_one() frees it instead of re-arming it.
   struct Slot {
     enum class State : std::uint8_t { kFree, kQueued, kFiring };
 
@@ -189,7 +194,6 @@ class Engine {
     std::uint32_t gen = 0;
     std::uint32_t next_free = kNil;
     State state = State::kFree;
-    bool cancelled = false;
   };
 
   /// Heap entries are small PODs ordered by (when, seq); the closure stays
@@ -228,11 +232,13 @@ class Engine {
   }
 
   void heap_push(HeapEntry e);
-  void heap_pop();
-
-  /// Earliest non-cancelled entry, lazily freeing cancelled ones; nullptr if
-  /// the queue is empty.  The pointer is invalidated by the next heap op.
-  const HeapEntry* live_top();
+  void heap_remove(std::size_t i);  ///< remove heap_[i], restoring order
+  void sift_up(std::size_t i, HeapEntry e);
+  void sift_down(std::size_t i, HeapEntry e);
+  void place(std::size_t i, const HeapEntry& e) {
+    heap_[i] = e;
+    pos_[e.slot] = static_cast<std::uint32_t>(i);
+  }
 
   bool pop_one();  // fire the earliest event; false if queue empty
 
@@ -244,9 +250,10 @@ class Engine {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::vector<HeapEntry> heap_;
+  std::vector<std::uint32_t> pos_;  ///< heap index of each queued slot
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t free_head_ = kNil;
-  std::uint32_t firing_slot_ = kNil;  ///< periodic slot running its callback
+  std::uint32_t firing_slot_ = kNil;  ///< slot whose callback is running
 };
 
 }  // namespace vprobe::sim

@@ -3,9 +3,9 @@
 // Two directions: clean runs across schedulers must produce zero
 // violations, and deliberately injected bugs — a sign-flipped accounting
 // pass, a blocked VCPU smuggled onto a run queue, a corrupted priority, a
-// double-released memory chunk — must each be caught.  The injection tests
-// are the checker's own regression suite: if they stop firing, the checker
-// has gone blind.
+// double-released memory chunk, engine events out of (when, seq) order —
+// must each be caught.  The injection tests are the checker's own
+// regression suite: if they stop firing, the checker has gone blind.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -243,6 +243,24 @@ TEST(CheckInjection, DoubleReleasedChunkIsCaught) {
   // chunk, so take it back before its own teardown trips the same assert.
   hv->memory_manager().reserve_chunk(0);
 #endif
+}
+
+TEST(CheckInjection, EngineOrderBreaksAreCaught) {
+  // The engine promises (when, seq) order; feed the hook a time that goes
+  // backwards, then an equal time with a lower seq, as a broken heap would.
+  check::InvariantChecker checker;
+  checker.on_event(sim::Time::ns(2000), 7);
+  checker.on_event(sim::Time::ns(2000), 8);  // in order: no violation
+  ASSERT_TRUE(checker.ok());
+  checker.on_event(sim::Time::ns(1000), 9);
+  checker.on_event(sim::Time::ns(1000), 4);
+  ASSERT_EQ(checker.violations().size(), 2u);
+  EXPECT_EQ(checker.violations()[0].what,
+            "engine: event time went backwards (1000 ns after 2000 ns)");
+  EXPECT_EQ(checker.violations()[1].what,
+            "engine: FIFO order broken at 1000 ns (seq 4 after seq 9)");
+  EXPECT_EQ(checker.events_seen(), 4u);
+  EXPECT_THROW(checker.expect_ok(), std::runtime_error);
 }
 
 // ------------------------------------------------------ zero overhead ----

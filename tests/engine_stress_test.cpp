@@ -2,9 +2,11 @@
 // cancel-while-queued loads, FIFO order at equal timestamps while the heap
 // array is reshuffled underneath, cancellation from inside callbacks,
 // periodic chains cancelled mid-flight, stale-handle (slot reuse) safety,
-// clear() re-entrancy, and slab recycling staying flat under steady churn.
+// clear() re-entrancy, slab recycling staying flat under steady churn, and
+// random operation sequences checked step by step against a reference model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -181,6 +183,195 @@ TEST(EngineStress, ChurnIsDeterministic) {
     return trace;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// ---------------------------------------------------- reference model ----
+//
+// Random schedule / periodic / cancel / run / clear sequences, with cancels,
+// schedules and clears also issued from inside callbacks, replayed against a plain
+// list of live events.  Each firing must be the reference's earliest
+// (when, seq) entry, and after every operation queued() must equal the live
+// count, every handle's pending() must match, and the slab must stay at one
+// chunk: a cancelled event leaves the heap and frees its slot at once.
+
+class EngineModel {
+ public:
+  explicit EngineModel(std::uint64_t seed) : rng_(seed) {}
+
+  void run_ops(int ops) {
+    for (int op = 0; op < ops && !::testing::Test::HasFatalFailure(); ++op) {
+      const double dice = rng_.uniform();
+      if (dice < 0.35) {
+        if (!schedule_one_shot(random_delay())) advance();
+      } else if (dice < 0.40) {
+        schedule_periodic(Time::us(rng_.uniform_int(1, 40)));
+      } else if (dice < 0.55) {
+        cancel(random_live_id());
+      } else if (dice < 0.65) {
+        cancel(random_id());  // mostly stale handles
+      } else if (dice < 0.999) {
+        advance();
+      } else {
+        clear();
+      }
+      check();
+    }
+    fired_total_ += engine_.run_until(engine_.now() + Time::ms(1));
+    check();
+  }
+
+  std::uint64_t fired() const { return fired_total_; }
+  std::size_t events() const { return events_.size(); }
+  int clears() const { return clears_; }
+
+ private:
+  struct Live {
+    Time when;
+    std::uint64_t seq;
+    int id;
+  };
+  struct Tracked {
+    EventHandle handle;
+    Time period;  ///< zero: one-shot
+    bool live = true;
+  };
+
+  static constexpr std::size_t kMaxLive = 180;  // stays inside one chunk
+
+  bool schedule_one_shot(Time delay) {
+    if (live_.size() >= kMaxLive) return false;
+    const int id = static_cast<int>(events_.size());
+    events_.push_back(Tracked{engine_.schedule(delay, [this, id] { fire(id); }),
+                              Time::zero()});
+    live_.push_back(Live{engine_.now() + delay, seq_++, id});
+    return true;
+  }
+
+  void schedule_periodic(Time period) {
+    if (live_.size() >= kMaxLive || periodic_live() >= 6) return;
+    const int id = static_cast<int>(events_.size());
+    events_.push_back(Tracked{
+        engine_.schedule_periodic(period, [this, id] { fire(id); }), period});
+    live_.push_back(Live{engine_.now() + period, seq_++, id});
+  }
+
+  void cancel(int id) {
+    if (id < 0) return;
+    Tracked& t = events_[static_cast<std::size_t>(id)];
+    t.handle.cancel();
+    if (!t.live) return;  // stale or already fired: a no-op
+    t.live = false;
+    // Absent only for the periodic chain whose callback is running.
+    std::erase_if(live_, [id](const Live& l) { return l.id == id; });
+  }
+
+  // Short delays make equal-time ties; long ones leave the last heap entry
+  // earlier than interior entries, so a removal must sift it up.
+  Time random_delay() {
+    return Time::us(rng_.uniform_int(0, rng_.chance(0.5) ? 20 : 2000));
+  }
+
+  void advance() {
+    fired_total_ +=
+        engine_.run_until(engine_.now() + Time::us(rng_.uniform_int(0, 30)));
+  }
+
+  void clear() {
+    ++clears_;
+    engine_.clear();
+    live_.clear();
+    for (Tracked& t : events_) t.live = false;
+  }
+
+  int random_live_id() {
+    if (live_.empty()) return -1;
+    return live_[static_cast<std::size_t>(rng_.uniform_int(
+                     0, static_cast<std::int64_t>(live_.size()) - 1))]
+        .id;
+  }
+
+  int random_id() {
+    if (events_.empty()) return -1;
+    return static_cast<int>(
+        rng_.uniform_int(0, static_cast<std::int64_t>(events_.size()) - 1));
+  }
+
+  std::size_t periodic_live() const {
+    return static_cast<std::size_t>(
+        std::count_if(events_.begin(), events_.end(), [](const Tracked& t) {
+          return t.live && t.period > Time::zero();
+        }));
+  }
+
+  void fire(int id) {
+    if (::testing::Test::HasFatalFailure()) return;
+    const auto earliest = std::min_element(
+        live_.begin(), live_.end(), [](const Live& a, const Live& b) {
+          return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+        });
+    ASSERT_NE(earliest, live_.end()) << "event " << id << " fired, none live";
+    ASSERT_EQ(earliest->id, id) << "fired out of (when, seq) order";
+    ASSERT_EQ(earliest->when, engine_.now());
+    live_.erase(earliest);
+    Tracked& self = events_[static_cast<std::size_t>(id)];
+    const Time period = self.period;
+    if (period == Time::zero()) self.live = false;  // one-shot: done
+    check();
+
+    // Actions from inside the callback, each followed by a full check.
+    const double dice = rng_.uniform();
+    if (dice < 0.10) {
+      cancel(id);  // a periodic chain cancelling itself stops it
+    } else if (dice < 0.25) {
+      cancel(random_live_id());
+    } else if (dice < 0.45) {
+      schedule_one_shot(random_delay());
+    } else if (dice < 0.4505) {
+      clear();  // re-entrant: the running chain must not re-arm
+    }
+    check();
+
+    if (events_[static_cast<std::size_t>(id)].live) {
+      // Re-armed right after the callback returns, so after anything the
+      // callback scheduled.
+      live_.push_back(Live{engine_.now() + period, seq_++, id});
+    }
+  }
+
+  void check() const {
+    ASSERT_EQ(engine_.queued(), live_.size());
+    Time next = Time::max();
+    for (const Live& l : live_) next = std::min(next, l.when);
+    ASSERT_EQ(engine_.next_event_time(), next);
+    for (std::size_t i = 0; i < events_.size(); ++i) {
+      ASSERT_EQ(events_[i].handle.pending(), events_[i].live) << "event " << i;
+    }
+    ASSERT_LE(engine_.slab_slots(), 256u) << "cancelled slots were not freed";
+  }
+
+  Engine engine_;
+  Rng rng_;
+  std::vector<Live> live_;
+  std::vector<Tracked> events_;
+  /// The engine draws one sequence number per schedule and per periodic
+  /// re-arm; the reference mirrors that count exactly.
+  std::uint64_t seq_ = 0;
+  std::uint64_t fired_total_ = 0;
+  int clears_ = 0;
+};
+
+TEST(EngineStress, MatchesReferenceModel) {
+  int clears = 0;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    SCOPED_TRACE(seed);
+    EngineModel model(seed);
+    model.run_ops(3000);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    EXPECT_GT(model.fired(), 1000u);
+    EXPECT_GT(model.events(), 1000u);
+    clears += model.clears();
+  }
+  EXPECT_GT(clears, 0) << "no seed exercised clear()";
 }
 
 }  // namespace

@@ -150,6 +150,26 @@ TEST(LlcModel, UpdateExistingOccupant) {
   EXPECT_EQ(llc.occupants(), 1);
 }
 
+TEST(LlcModel, TotalsSurviveChurn) {
+  // Adds and removes in mixed order, including swap-erase from the middle
+  // of the flat occupant vector, must keep the total-demand arithmetic.
+  LlcModel llc(12ll << 20);
+  llc.set_demand(10, 1.0e6);
+  llc.set_demand(11, 2.0e6);
+  llc.set_demand(12, 3.0e6);
+  EXPECT_EQ(llc.occupants(), 3);
+  EXPECT_DOUBLE_EQ(llc.total_demand_bytes(), 6.0e6);
+  llc.remove(11);  // middle entry: swap-erase path
+  EXPECT_EQ(llc.occupants(), 2);
+  EXPECT_DOUBLE_EQ(llc.total_demand_bytes(), 4.0e6);
+  llc.set_demand(12, 1.5e6);  // shrink an existing entry
+  EXPECT_DOUBLE_EQ(llc.total_demand_bytes(), 2.5e6);
+  llc.remove(10);
+  llc.remove(12);
+  EXPECT_EQ(llc.occupants(), 0);
+  EXPECT_DOUBLE_EQ(llc.total_demand_bytes(), 0.0);
+}
+
 // ------------------------------------------------------- MemController ----
 
 TEST(MemController, IdleHasUnitFactor) {

@@ -1,10 +1,10 @@
-// Rate-cache suite: the contention-state version counters, the cost-model
-// memo, and the --no-rate-cache escape hatch.
+// Rate-cache suite: the bit-identical reuse paths behind the
+// --no-rate-cache escape hatch (the tracker decay memo, the unchanged-burst
+// reuse and the slice-clamp floor), and the cache-on/off differential.
 //
-// The memo's correctness contract is absolute — a cached result may only be
-// served when it is provably bit-identical to a full recomputation — so the
-// tests here are exact-equality tests (EXPECT_EQ on doubles, digest
-// comparison on full trace streams), never EXPECT_NEAR.
+// Reuse may only happen when it is provably bit-identical to a full
+// recomputation, so the tests here are exact-equality tests (EXPECT_EQ on
+// doubles, digest comparison on full trace streams), never EXPECT_NEAR.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -15,10 +15,7 @@
 #include <vector>
 
 #include "check/invariants.hpp"
-#include "numa/interconnect.hpp"
-#include "numa/llc_model.hpp"
 #include "numa/machine_config.hpp"
-#include "numa/mem_controller.hpp"
 #include "numa/rate_tracker.hpp"
 #include "perf/contention.hpp"
 #include "perf/cost_model.hpp"
@@ -35,127 +32,6 @@ namespace vprobe {
 namespace {
 
 using sim::Time;
-
-// ------------------------------------------------- version counters ----
-//
-// Every mutation path of every contention component must bump its version;
-// every pure read must not.  The cost-model memo is sound only under this
-// exact discipline.
-
-TEST(VersionCounters, RateTrackerBumpsOnRecordAndReset) {
-  numa::RateTracker t;
-  EXPECT_EQ(t.version(), 0u);
-  t.record(100.0, Time::ms(1));
-  EXPECT_EQ(t.version(), 1u);
-  t.record(0.0, Time::ms(2));  // zero-amount records still mutate FP state
-  EXPECT_EQ(t.version(), 2u);
-  (void)t.rate(Time::ms(3));  // reads never bump
-  EXPECT_EQ(t.version(), 2u);
-  t.reset();
-  EXPECT_EQ(t.version(), 3u);
-}
-
-TEST(VersionCounters, LlcModelBumpsOnEveryEffectiveMutation) {
-  numa::LlcModel llc(12ll << 20);
-  const std::uint64_t v0 = llc.version();
-  llc.set_demand(1, 4.0e6);  // insert
-  const std::uint64_t v1 = llc.version();
-  EXPECT_GT(v1, v0);
-  llc.set_demand(1, 6.0e6);  // update
-  const std::uint64_t v2 = llc.version();
-  EXPECT_GT(v2, v1);
-  (void)llc.overcommit();  // reads never bump
-  (void)llc.miss_rate(0.1, 0.5);
-  EXPECT_EQ(llc.version(), v2);
-  llc.remove(1);
-  const std::uint64_t v3 = llc.version();
-  EXPECT_GT(v3, v2);
-  llc.remove(1);  // absent occupant: no state change, no bump
-  EXPECT_EQ(llc.version(), v3);
-  EXPECT_EQ(llc.occupants(), 0);
-  EXPECT_DOUBLE_EQ(llc.total_demand_bytes(), 0.0);
-}
-
-TEST(VersionCounters, LlcModelTotalsSurviveChurn) {
-  // The flat-vector rewrite must keep the total-demand arithmetic of the
-  // old map exactly: adds and removes in mixed order, including swap-erase
-  // from the middle.
-  numa::LlcModel llc(12ll << 20);
-  llc.set_demand(10, 1.0e6);
-  llc.set_demand(11, 2.0e6);
-  llc.set_demand(12, 3.0e6);
-  EXPECT_EQ(llc.occupants(), 3);
-  EXPECT_DOUBLE_EQ(llc.total_demand_bytes(), 6.0e6);
-  llc.remove(11);  // middle entry: swap-erase path
-  EXPECT_EQ(llc.occupants(), 2);
-  EXPECT_DOUBLE_EQ(llc.total_demand_bytes(), 4.0e6);
-  llc.set_demand(12, 1.5e6);  // shrink an existing entry
-  EXPECT_DOUBLE_EQ(llc.total_demand_bytes(), 2.5e6);
-  llc.remove(10);
-  llc.remove(12);
-  EXPECT_EQ(llc.occupants(), 0);
-  EXPECT_DOUBLE_EQ(llc.total_demand_bytes(), 0.0);
-}
-
-TEST(VersionCounters, MemControllerBumpsOnTrafficAndLimits) {
-  numa::MemController imc(25.6e9);
-  EXPECT_TRUE(imc.idle());
-  const std::uint64_t v0 = imc.version();
-  imc.record_traffic(1.0e6, Time::ms(1), Time::us(10));
-  EXPECT_GT(imc.version(), v0);
-  EXPECT_FALSE(imc.idle());
-  const std::uint64_t v1 = imc.version();
-  (void)imc.latency_factor(Time::ms(2));  // reads never bump
-  (void)imc.utilization(Time::ms(2));
-  EXPECT_EQ(imc.version(), v1);
-  imc.set_limits(0.9, 6.0);
-  EXPECT_GT(imc.version(), v1);
-}
-
-TEST(VersionCounters, InterconnectBumpsOnCrossNodeTrafficOnly) {
-  const auto cfg = numa::MachineConfig::xeon_e5620();
-  numa::Interconnect ic(cfg);
-  EXPECT_TRUE(ic.idle());
-  const std::uint64_t v0 = ic.version();
-  ic.record_traffic(0, 0, 1.0e6, Time::ms(1), Time::us(10));  // local: no-op
-  EXPECT_EQ(ic.version(), v0);
-  EXPECT_TRUE(ic.idle());
-  ic.record_traffic(0, 1, 1.0e6, Time::ms(1), Time::us(10));
-  EXPECT_GT(ic.version(), v0);
-  EXPECT_FALSE(ic.idle());
-  const std::uint64_t v1 = ic.version();
-  (void)ic.utilization(0, 1, Time::ms(2));  // reads never bump
-  (void)ic.remote_extra_ns(0, 1, Time::ms(2));
-  EXPECT_EQ(ic.version(), v1);
-}
-
-TEST(VersionCounters, MachineStateAggregatesComponentVersions) {
-  perf::MachineState state(numa::MachineConfig::xeon_e5620());
-  EXPECT_TRUE(state.fabric_idle());
-  const std::uint64_t v0 = state.version();
-  const std::uint64_t f0 = state.fabric_version();
-
-  // LLC occupancy moves version() but not fabric_version().
-  state.occupant_in(0, 42, 4.0e6);
-  EXPECT_GT(state.version(), v0);
-  EXPECT_EQ(state.fabric_version(), f0);
-  EXPECT_TRUE(state.fabric_idle());
-  const std::uint64_t v1 = state.version();
-  state.occupant_out(0, 42);
-  EXPECT_GT(state.version(), v1);
-
-  // IMC traffic moves both, and the fabric is no longer idle.
-  const std::uint64_t v2 = state.version();
-  state.imc(1).record_traffic(1.0e6, Time::ms(1), Time::us(10));
-  EXPECT_GT(state.version(), v2);
-  EXPECT_GT(state.fabric_version(), f0);
-  EXPECT_FALSE(state.fabric_idle());
-
-  // Interconnect traffic likewise.
-  const std::uint64_t f1 = state.fabric_version();
-  state.interconnect().record_traffic(0, 1, 1.0e6, Time::ms(1), Time::us(10));
-  EXPECT_GT(state.fabric_version(), f1);
-}
 
 // ------------------------------------------------------ decay memo ----
 
@@ -180,165 +56,22 @@ TEST(DecayMemo, CachedAndUncachedTrackersAgreeBitwise) {
   }
 }
 
-// --------------------------------------------------- cost-model memo ----
+// ------------------------------------------------ slice-clamp floor ----
 
-struct MemoFixture : ::testing::Test {
-  MemoFixture()
-      : cfg(numa::MachineConfig::xeon_e5620()), state(cfg), model(cfg, state) {
-    model.resize_cache(8);
-    profile.rpti = 20.0;
-    profile.solo_miss = 0.2;
-    profile.miss_sensitivity = 0.4;
-    profile.working_set_bytes = 8.0e6;
-    profile.node_fractions = fractions;
-  }
-
-  std::uint64_t hits() const { return model.cache_stats().hits; }
-  std::uint64_t misses() const { return model.cache_stats().misses; }
-
-  numa::MachineConfig cfg;
-  perf::MachineState state;
-  perf::CostModel model;
-  std::array<double, 2> fractions{0.75, 0.25};
-  perf::SliceProfile profile;
-};
-
-TEST_F(MemoFixture, RepeatLookupHitsAndMatchesUncachedExactly) {
-  const double direct = model.ns_per_instr(profile, 0, 0.0, Time::ms(1));
-  const double first = model.ns_per_instr_cached(0, profile, 0, 0.0, Time::ms(1));
-  const double second = model.ns_per_instr_cached(0, profile, 0, 0.0, Time::ms(1));
-  EXPECT_EQ(first, direct);   // bit-identical, not approximately equal
-  EXPECT_EQ(second, direct);
-  EXPECT_EQ(hits(), 1u);
-  EXPECT_EQ(misses(), 1u);
-}
-
-TEST_F(MemoFixture, IdleFabricSnapshotsAreTimeInvariant) {
-  (void)model.ns_per_instr_cached(0, profile, 0, 0.0, Time::ms(1));
-  // No traffic anywhere: the same inputs at any later time must hit and
-  // must still equal the direct evaluation at that time.
-  const double later_direct = model.ns_per_instr(profile, 0, 0.0, Time::sec(5));
-  const double later_cached =
-      model.ns_per_instr_cached(0, profile, 0, 0.0, Time::sec(5));
-  EXPECT_EQ(later_cached, later_direct);
-  EXPECT_EQ(hits(), 1u);
-}
-
-TEST_F(MemoFixture, BusyFabricSnapshotsAreTimeBound) {
-  state.imc(0).record_traffic(5.0e7, Time::ms(1), Time::us(10));
-  (void)model.ns_per_instr_cached(0, profile, 0, 0.0, Time::ms(2));
-  // Same now: hit.
-  (void)model.ns_per_instr_cached(0, profile, 0, 0.0, Time::ms(2));
-  EXPECT_EQ(hits(), 1u);
-  // Different now with live traffic: the rates genuinely decay — miss, and
-  // the recomputation matches the direct path exactly.
-  const double direct = model.ns_per_instr(profile, 0, 0.0, Time::ms(3));
-  EXPECT_EQ(model.ns_per_instr_cached(0, profile, 0, 0.0, Time::ms(3)), direct);
-  EXPECT_EQ(misses(), 2u);
-}
-
-TEST_F(MemoFixture, EveryMutationPathInvalidates) {
-  const Time now = Time::ms(1);
-  auto lookup = [&] { (void)model.ns_per_instr_cached(0, profile, 0, 0.0, now); };
-  lookup();  // fill
-  EXPECT_EQ(misses(), 1u);
-
-  state.occupant_in(0, 7, 2.0e6);  // LLC demand on the run node
-  lookup();
-  EXPECT_EQ(misses(), 2u);
-
-  state.imc(1).record_traffic(1.0e6, now, Time::us(10));  // remote-home IMC
-  lookup();
-  EXPECT_EQ(misses(), 3u);
-
-  state.interconnect().record_traffic(0, 1, 1.0e6, now, Time::us(10));
-  lookup();
-  EXPECT_EQ(misses(), 4u);
-
-  state.imc(0).set_limits(0.9, 6.0);  // config change, not just traffic
-  lookup();
-  EXPECT_EQ(misses(), 5u);
-
-  state.occupant_out(0, 7);  // removal invalidates like insertion
-  lookup();
-  EXPECT_EQ(misses(), 6u);
-
-  lookup();  // and with the machine still again, the memo hits again
-  EXPECT_EQ(hits(), 1u);
-}
-
-TEST_F(MemoFixture, InputKeyChangesInvalidate) {
-  const Time now = Time::ms(1);
-  (void)model.ns_per_instr_cached(0, profile, 0, 0.0, now);
-  (void)model.ns_per_instr_cached(0, profile, 0, 0.01, now);  // cold miss
-  EXPECT_EQ(misses(), 2u);
-  profile.rpti = 21.0;
-  (void)model.ns_per_instr_cached(0, profile, 0, 0.0, now);
-  EXPECT_EQ(misses(), 3u);
-  fractions = {0.5, 0.5};
-  profile.rpti = 20.0;
-  (void)model.ns_per_instr_cached(0, profile, 0, 0.0, now);
-  EXPECT_EQ(misses(), 4u);
-  (void)model.ns_per_instr_cached(0, profile, 1, 0.0, now);  // run node
-  EXPECT_EQ(misses(), 5u);
-  EXPECT_EQ(hits(), 0u);
-}
-
-TEST_F(MemoFixture, SlotsAreIndependentAndOutOfRangeFallsBack) {
-  const Time now = Time::ms(1);
-  (void)model.ns_per_instr_cached(0, profile, 0, 0.0, now);
-  (void)model.ns_per_instr_cached(1, profile, 0, 0.0, now);  // own slot: miss
-  EXPECT_EQ(misses(), 2u);
-  (void)model.ns_per_instr_cached(1, profile, 0, 0.0, now);
-  EXPECT_EQ(hits(), 1u);
-  // Out-of-range slots use the shared fallback slot rather than crashing.
-  const double direct = model.ns_per_instr(profile, 0, 0.0, now);
-  EXPECT_EQ(model.ns_per_instr_cached(1000, profile, 0, 0.0, now), direct);
-  EXPECT_EQ(model.ns_per_instr_cached(1000, profile, 0, 0.0, now), direct);
-  EXPECT_EQ(hits(), 2u);
-}
-
-TEST_F(MemoFixture, DisabledCacheRecomputesButStaysBitIdentical) {
-  model.set_cache_enabled(false);
-  const Time now = Time::ms(1);
-  const double direct = model.ns_per_instr(profile, 0, 0.0, now);
-  EXPECT_EQ(model.ns_per_instr_cached(0, profile, 0, 0.0, now), direct);
-  EXPECT_EQ(model.ns_per_instr_cached(0, profile, 0, 0.0, now), direct);
-  EXPECT_EQ(hits(), 0u);
-  EXPECT_EQ(misses(), 2u);
-}
-
-TEST_F(MemoFixture, RunCachedMatchesRunExactlyIncludingDeposits) {
-  // Two identical machines, one driven through run(), one through
-  // run_cached() (prediction first, as the hypervisor does): results and
-  // the traffic they deposit must agree bit-for-bit.
-  perf::MachineState state2(cfg);
-  perf::CostModel plain(cfg, state2);
-
-  Time now = Time::ms(1);
-  for (int i = 0; i < 50; ++i) {
-    (void)model.ns_per_instr_cached(0, profile, i % 2, 0.0, now);
-    const auto a = model.run_cached(0, profile, i % 2, 0.0, 1.0e6,
-                                    Time::ms(30), now);
-    (void)plain.ns_per_instr(profile, i % 2, 0.0, now);
-    const auto b = plain.run(profile, i % 2, 0.0, 1.0e6, Time::ms(30), now);
-    ASSERT_EQ(a.instructions, b.instructions) << i;
-    ASSERT_EQ(a.ns_per_instr, b.ns_per_instr) << i;
-    ASSERT_EQ(a.elapsed, b.elapsed) << i;
-    ASSERT_EQ(a.counters.llc_misses, b.counters.llc_misses) << i;
-    now = now + a.elapsed + Time::us(3);
-  }
-  EXPECT_GT(hits(), 0u);  // the settlements found their prediction snapshots
-  for (int n = 0; n < state.num_nodes(); ++n) {
-    ASSERT_EQ(state.imc(n).total_bytes(), state2.imc(n).total_bytes()) << n;
-  }
-  ASSERT_EQ(state.interconnect().total_bytes(),
-            state2.interconnect().total_bytes());
-}
-
-TEST_F(MemoFixture, MinNsPerInstrIsAHardFloor) {
+TEST(SliceClamp, MinNsPerInstrIsAHardFloor) {
   // The slice-clamp fast path in the hypervisor is sound only if no
   // profile/contention combination can undercut base_cpi/clock.
+  const numa::MachineConfig cfg = numa::MachineConfig::xeon_e5620();
+  perf::MachineState state(cfg);
+  perf::CostModel model(cfg, state);
+  std::array<double, 2> fractions{0.75, 0.25};
+  perf::SliceProfile profile;
+  profile.rpti = 20.0;
+  profile.solo_miss = 0.2;
+  profile.miss_sensitivity = 0.4;
+  profile.working_set_bytes = 8.0e6;
+  profile.node_fractions = fractions;
+
   state.occupant_in(0, 1, 30.0e6);  // heavy LLC pressure
   state.imc(0).record_traffic(2.0e8, Time::ms(1), Time::us(10));
   state.interconnect().record_traffic(0, 1, 2.0e8, Time::ms(1), Time::us(10));
@@ -451,47 +184,6 @@ TEST(BurstReuse, StalePlanIsNotReusedAfterCrossPcpuBounce) {
       << "stale burst plan reused after cross-PCPU bounce";
 }
 
-// ------------------------------------- hypervisor-level integration ----
-
-TEST(RateCacheHypervisor, DestroyDomainTeardownBumpsVersions) {
-  auto hv = test::make_credit_hv(5);
-  hv::Domain& dom = hv->create_domain("VM1", 2 * test::kTestGB, 4,
-                                      numa::PlacementPolicy::kFillFirst);
-  std::vector<std::unique_ptr<test::FakeWork>> works;
-  for (auto* vcpu : test::domain_vcpus(dom)) {
-    auto w = std::make_unique<test::FakeWork>();
-    w->rpti = 10.0;
-    w->solo_miss = 0.1;
-    w->working_set = 4.0e6;
-    hv->bind_work(*vcpu, *w);
-    works.push_back(std::move(w));
-  }
-  hv->start();
-  for (auto* vcpu : test::domain_vcpus(dom)) hv->wake(*vcpu);
-  hv->engine().run_until(sim::Time::ms(50));
-
-  // VCPUs are mid-slice: teardown must settle their segments (fabric
-  // deposits) and pull their LLC occupancy (llc bumps).
-  const std::uint64_t v0 = hv->machine_state().version();
-  hv->destroy_domain(dom);
-  EXPECT_GT(hv->machine_state().version(), v0);
-  hv->engine().run_until(sim::Time::ms(60));  // drains without incident
-}
-
-TEST(RateCacheHypervisor, MiniScenarioHitsTheMemo) {
-  test::MiniScenario sc =
-      test::make_mini_scenario(runner::SchedKind::kCredit, 5);
-  test::run_mini(sc, sim::Time::ms(100));
-  const auto& stats = sc.hv->cost_model().cache_stats();
-  EXPECT_GT(stats.hits, 0u);
-  EXPECT_GT(stats.misses, 0u);
-  // On this 1.5×-oversubscribed machine most settlements race other PCPUs'
-  // traffic deposits, and the slice-clamp fast path keeps the easy
-  // predictions away from the memo entirely — a low-but-nonzero rate is the
-  // honest expectation here; see docs/PERF.md.
-  EXPECT_GT(stats.hit_rate(), 0.03);
-}
-
 // ------------------------------------------- differential property ----
 //
 // The escape hatch is the proof obligation: every scheduler, on a churning
@@ -506,7 +198,7 @@ class RateCacheDifferential : public ::testing::TestWithParam<DiffParam> {};
 struct DigestResult {
   std::uint64_t records = 0;
   std::string digest;
-  std::uint64_t cache_hits = 0;
+  std::uint64_t rate_evals = 0;
 };
 
 DigestResult run_churning(runner::SchedKind kind, std::uint64_t seed,
@@ -541,7 +233,7 @@ DigestResult run_churning(runner::SchedKind kind, std::uint64_t seed,
   DigestResult r;
   r.records = records.size();
   r.digest = trace::digest_hex(trace::digest_records(records));
-  r.cache_hits = sc.hv->cost_model().cache_stats().hits;
+  r.rate_evals = sc.hv->cost_model().cache_stats().misses;
   return r;
 }
 
@@ -554,8 +246,10 @@ TEST_P(RateCacheDifferential, CacheOnAndOffProduceIdenticalStreams) {
   EXPECT_EQ(on.digest, off.digest)
       << to_string(kind) << " seed " << seed
       << ": rate cache changed behaviour — reuse was not bit-identical";
-  EXPECT_GT(on.cache_hits, 0u) << "cache-on run never hit: nothing was tested";
-  EXPECT_EQ(off.cache_hits, 0u) << "--no-rate-cache still hit the memo";
+  // The slice clamp skips predictions, so the cache-on run must evaluate
+  // fewer rates; equal counts would mean no reuse path ran.
+  EXPECT_LT(on.rate_evals, off.rate_evals)
+      << "cache-on run skipped no rate evaluation: nothing was tested";
 }
 
 std::string diff_param_name(const ::testing::TestParamInfo<DiffParam>& info) {
