@@ -35,7 +35,7 @@ cmake --preset asan
 cmake --build --preset asan -j "$JOBS"
 ctest --preset asan -j "$JOBS"
 
-echo "== release preset: checker hooks compiled out =="
+echo "== release preset: tier-1 suite in a Release build =="
 cmake --preset release
 cmake --build --preset release -j "$JOBS"
 ctest --test-dir build-release -j "$JOBS"

@@ -14,6 +14,11 @@ namespace vprobe::check {
 
 namespace {
 
+/// Stop recording (but keep counting) after this many violations.
+constexpr std::size_t kMaxViolations = 64;
+/// Slack for floating-point credit comparisons.
+constexpr double kEpsilon = 1e-6;
+
 std::string describe(const hv::Vcpu& v) {
   std::ostringstream os;
   os << v.name() << " (vcpu " << v.id() << ", state " << to_string(v.state)
@@ -43,7 +48,7 @@ void InvariantChecker::detach() {
 
 void InvariantChecker::report(std::string what) {
   ++total_violations_;
-  if (violations_.size() < cfg_.max_violations) {
+  if (violations_.size() < kMaxViolations) {
     sim::Time when = hv_ != nullptr ? hv_->now() : sim::Time::zero();
     if (!scope_.empty()) what = "[" + scope_ + "] " + what;
     violations_.push_back(Violation{std::move(what), when});
@@ -64,16 +69,15 @@ void InvariantChecker::expect_ok() const {
 void InvariantChecker::check_now() {
   if (hv_ == nullptr) return;
   ++checks_run_;
-  if (cfg_.runqueues) check_runqueues();
-  if (cfg_.credits) check_credit_legality();
-  if (cfg_.memory) check_memory();
+  check_runqueues();
+  check_credit_legality();
+  check_memory();
 }
 
 // -- engine hook --------------------------------------------------------------
 
 void InvariantChecker::on_event(sim::Time when, std::uint64_t seq) {
   ++events_seen_;
-  if (!cfg_.event_time) return;
   if (have_last_event_) {
     if (when < last_event_time_) {
       std::ostringstream os;
@@ -101,56 +105,54 @@ void InvariantChecker::after_tick(hv::Hypervisor& hv, hv::Pcpu& pcpu) {
 }
 
 void InvariantChecker::before_accounting(hv::Hypervisor& hv) {
-  if (hv_ != &hv || !cfg_.credits) return;
+  if (hv_ != &hv) return;
   credits_before_.clear();
   for (const hv::Vcpu* v : hv.all_vcpus()) credits_before_.push_back(v->credits);
 }
 
 void InvariantChecker::after_accounting(hv::Hypervisor& hv) {
   if (hv_ != &hv) return;
-  if (cfg_.credits) {
-    const auto* credit =
-        dynamic_cast<const hv::CreditScheduler*>(&hv.scheduler());
-    auto vcpus = hv.all_vcpus();
-    if (credit != nullptr && credits_before_.size() == vcpus.size()) {
-      const auto& p = credit->params();
-      // Budget of one accounting pass: each PCPU's running VCPU burns
-      // credits_per_tick per tick, and the accounting pass redistributes at
-      // most what the machine burned since the last pass.
-      const double ticks_per_acct =
-          hv.config().accounting_period / hv.config().tick_period;
-      const double credit_total = p.credits_per_tick * ticks_per_acct *
-                                  static_cast<double>(hv.pcpus().size());
-      double granted = 0.0;
-      for (std::size_t i = 0; i < vcpus.size(); ++i) {
-        const hv::Vcpu& v = *vcpus[i];
-        const double delta = v.credits - credits_before_[i];
-        if (delta < -cfg_.epsilon) {
-          std::ostringstream os;
-          os << "credit: accounting debited " << describe(v) << " by " << -delta
-             << " credits (accounting may only grant)";
-          report(os.str());
-        }
-        if (v.active() &&
-            (v.credits < p.credit_floor - cfg_.epsilon ||
-             v.credits > p.credit_cap + cfg_.epsilon)) {
-          std::ostringstream os;
-          os << "credit: accounting left " << describe(v) << " with "
-             << v.credits << " credits, outside [" << p.credit_floor << ", "
-             << p.credit_cap << "]";
-          report(os.str());
-        }
-        if (delta > 0.0) granted += delta;
-      }
-      if (granted > credit_total + cfg_.epsilon) {
+  const auto* credit =
+      dynamic_cast<const hv::CreditScheduler*>(&hv.scheduler());
+  auto vcpus = hv.all_vcpus();
+  if (credit != nullptr && credits_before_.size() == vcpus.size()) {
+    const auto& p = credit->params();
+    // Budget of one accounting pass: each PCPU's running VCPU burns
+    // credits_per_tick per tick, and the accounting pass redistributes at
+    // most what the machine burned since the last pass.
+    const double ticks_per_acct =
+        hv::Hypervisor::kAccountingPeriod / hv::Hypervisor::kTickPeriod;
+    const double credit_total = p.credits_per_tick * ticks_per_acct *
+                                static_cast<double>(hv.pcpus().size());
+    double granted = 0.0;
+    for (std::size_t i = 0; i < vcpus.size(); ++i) {
+      const hv::Vcpu& v = *vcpus[i];
+      const double delta = v.credits - credits_before_[i];
+      if (delta < -kEpsilon) {
         std::ostringstream os;
-        os << "credit: accounting granted " << granted
-           << " credits, more than the machine budget " << credit_total;
+        os << "credit: accounting debited " << describe(v) << " by " << -delta
+           << " credits (accounting may only grant)";
         report(os.str());
       }
+      if (v.active() &&
+          (v.credits < p.credit_floor - kEpsilon ||
+           v.credits > p.credit_cap + kEpsilon)) {
+        std::ostringstream os;
+        os << "credit: accounting left " << describe(v) << " with "
+           << v.credits << " credits, outside [" << p.credit_floor << ", "
+           << p.credit_cap << "]";
+        report(os.str());
+      }
+      if (delta > 0.0) granted += delta;
     }
-    credits_before_.clear();
+    if (granted > credit_total + kEpsilon) {
+      std::ostringstream os;
+      os << "credit: accounting granted " << granted
+         << " credits, more than the machine budget " << credit_total;
+      report(os.str());
+    }
   }
+  credits_before_.clear();
   check_now();
 }
 
@@ -166,7 +168,7 @@ void InvariantChecker::on_domain_created(hv::Hypervisor& hv, hv::Domain& dom) {
 
 void InvariantChecker::before_domain_destroy(hv::Hypervisor& hv,
                                              hv::Domain& dom) {
-  if (hv_ != &hv || !cfg_.teardown) return;
+  if (hv_ != &hv) return;
   numa::MemoryManager& mm = hv.memory_manager();
   free_before_destroy_.clear();
   for (int n = 0; n < mm.num_nodes(); ++n) {
@@ -181,7 +183,7 @@ void InvariantChecker::before_domain_destroy(hv::Hypervisor& hv,
 }
 
 void InvariantChecker::after_domain_destroy(hv::Hypervisor& hv) {
-  if (hv_ != &hv || !cfg_.teardown) return;
+  if (hv_ != &hv) return;
   // Commit the ids only now: destroy_domain itself legitimately emits
   // kSwitchOut/kRetire events naming the dying VCPUs.
   for (int id : pending_dead_ids_) dead_vcpu_ids_.insert(id);
@@ -210,7 +212,7 @@ void InvariantChecker::after_domain_destroy(hv::Hypervisor& hv) {
 
 void InvariantChecker::on_trace_event(hv::Hypervisor& hv,
                                       trace::EventKind kind, int vcpu_id) {
-  if (hv_ != &hv || !cfg_.teardown || vcpu_id < 0) return;
+  if (hv_ != &hv || vcpu_id < 0) return;
   if (dead_vcpu_ids_.count(vcpu_id) != 0) {
     std::ostringstream os;
     os << "teardown: event " << trace::to_string(kind)
@@ -322,7 +324,7 @@ void InvariantChecker::check_runqueues() {
         break;
     }
   }
-  if (cfg_.teardown && !dead_vcpus_.empty()) {
+  if (!dead_vcpus_.empty()) {
     // No queue item or current pointer may reference retired storage: the
     // domain that owned it is gone and the memory freed.
     for (hv::Pcpu& p : hv_->pcpus()) {
@@ -350,13 +352,13 @@ void InvariantChecker::check_credit_legality() {
     // UNDER/BOOST mean credits >= 0, OVER means credits < 0.  BOOST can
     // coexist with any non-negative balance (wake boost), so only flag the
     // sign contradictions.
-    if (v->priority == hv::CreditPrio::kOver && v->credits > cfg_.epsilon) {
+    if (v->priority == hv::CreditPrio::kOver && v->credits > kEpsilon) {
       std::ostringstream os;
       os << "credit: " << describe(*v) << " is OVER with " << v->credits
          << " credits (should be UNDER)";
       report(os.str());
     }
-    if (v->priority != hv::CreditPrio::kOver && v->credits < -cfg_.epsilon) {
+    if (v->priority != hv::CreditPrio::kOver && v->credits < -kEpsilon) {
       std::ostringstream os;
       os << "credit: " << describe(*v) << " is " << to_string(v->priority)
          << " with " << v->credits << " credits (should be OVER)";
@@ -414,7 +416,7 @@ ScopedCheck::~ScopedCheck() {
 
 void ScopedCheck::expect_ok() {
   if (!checker_) return;
-  checker_->check_now();  // final sweep, even without VPROBE_CHECKS hooks
+  checker_->check_now();  // final sweep
   checker_->expect_ok();
 }
 

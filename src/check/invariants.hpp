@@ -24,9 +24,8 @@
 //              that has been retired (dynamic-scenario rules).
 //
 // The checker attaches to one Hypervisor as its engine observer and
-// HvObserver; hook call sites exist only when the build defines
-// VPROBE_CHECKS (the default preset), so a Release build without the macro
-// pays nothing.  Violations are recorded, not thrown, so a test can run a
+// HvObserver; with no checker attached each hook site costs one predictable
+// branch.  Violations are recorded, not thrown, so a test can run a
 // deliberately broken scheduler and assert the checker fired; expect_ok()
 // escalates to an exception for production runs (--checks).
 #pragma once
@@ -57,20 +56,7 @@ struct Violation {
 class InvariantChecker final : public sim::Engine::Observer,
                                public hv::HvObserver {
  public:
-  struct Config {
-    bool credits = true;     ///< credit bounds / legality / conservation
-    bool runqueues = true;   ///< run-queue consistency sweep
-    bool memory = true;      ///< chunk conservation sweep
-    bool event_time = true;  ///< engine timestamp monotonicity
-    bool teardown = true;    ///< domain-destroy conservation + dead-VCPU rules
-    /// Stop recording (but keep counting) after this many violations.
-    std::size_t max_violations = 64;
-    /// Slack for floating-point credit comparisons.
-    double epsilon = 1e-6;
-  };
-
   InvariantChecker() = default;
-  explicit InvariantChecker(Config cfg) : cfg_(cfg) {}
   ~InvariantChecker() override;
 
   /// Register as `hv`'s engine observer and hypervisor observer.  The
@@ -90,7 +76,7 @@ class InvariantChecker final : public sim::Engine::Observer,
   const std::string& scope() const { return scope_; }
 
   /// One-shot full sweep (run queues, credits, memory) of the attached
-  /// hypervisor — usable even in builds without VPROBE_CHECKS hooks.
+  /// hypervisor.
   void check_now();
 
   bool ok() const { return total_violations_ == 0; }
@@ -121,7 +107,6 @@ class InvariantChecker final : public sim::Engine::Observer,
   void check_memory();
   void report(std::string what);
 
-  Config cfg_{};
   hv::Hypervisor* hv_ = nullptr;
   std::string scope_;
   bool have_last_event_ = false;

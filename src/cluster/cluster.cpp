@@ -12,6 +12,16 @@ namespace vprobe::cluster {
 
 namespace {
 
+// Live-migration cost model.
+/// Migration NIC bandwidth (10 GbE with protocol overhead).
+constexpr double kMigrationBandwidthBytesPerS = 1.25e9;
+/// Give up converging and cut over after this many pre-copy rounds.
+constexpr int kMaxPrecopyRounds = 8;
+/// Cut over once a round would re-send <= this fraction of the VM.
+constexpr double kStopRatio = 0.02;
+/// Floor on round/downtime duration (protocol latency).
+constexpr sim::Time kMinRound = sim::Time::us(50);
+
 std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
   return b > 0 ? (a + b - 1) / b : 0;
 }
@@ -347,8 +357,8 @@ void Cluster::run_precopy_round(int vm_id) {
   if (vm == nullptr) return;
   const double bytes = vm->remaining_bytes;
   const sim::Time dur = std::max(
-      config_.migration.min_round,
-      sim::Time::seconds(bytes / config_.migration.bandwidth_bytes_per_s));
+      kMinRound,
+      sim::Time::seconds(bytes / kMigrationBandwidthBytesPerS));
   vm->migration_event = engine_.schedule(dur, [this, vm_id, bytes, dur] {
     Vm* v = find_vm(vm_id);
     if (v == nullptr || !v->migrating) return;
@@ -362,8 +372,8 @@ void Cluster::run_precopy_round(int vm_id) {
             ? v->spec.dirty_bytes_per_s * dur.to_seconds()
             : 0.0;
     const double total = static_cast<double>(v->spec.mem_bytes);
-    if (dirtied <= config_.migration.stop_ratio * total ||
-        v->rounds_done >= config_.migration.max_precopy_rounds) {
+    if (dirtied <= kStopRatio * total ||
+        v->rounds_done >= kMaxPrecopyRounds) {
       begin_cutover(vm_id, dirtied);
     } else {
       v->remaining_bytes = dirtied;
@@ -382,8 +392,8 @@ void Cluster::begin_cutover(int vm_id, double dirty_bytes) {
     hosts_[static_cast<std::size_t>(vm->host)]->pause_domain(*dom);
   }
   const sim::Time downtime = std::max(
-      config_.migration.min_round,
-      sim::Time::seconds(dirty_bytes / config_.migration.bandwidth_bytes_per_s));
+      kMinRound,
+      sim::Time::seconds(dirty_bytes / kMigrationBandwidthBytesPerS));
   vm->migration_event =
       engine_.schedule(downtime, [this, vm_id, dirty_bytes, downtime] {
         Vm* v = find_vm(vm_id);

@@ -58,18 +58,6 @@ struct HostSpec {
 using SchedulerFactory =
     std::function<std::unique_ptr<hv::Scheduler>(int host_id)>;
 
-/// Live-migration cost model knobs.
-struct MigrationOptions {
-  /// Migration NIC bandwidth (10 GbE with protocol overhead).
-  double bandwidth_bytes_per_s = 1.25e9;
-  /// Give up converging and cut over after this many pre-copy rounds.
-  int max_precopy_rounds = 8;
-  /// Cut over once a round would re-send <= this fraction of the VM.
-  double stop_ratio = 0.02;
-  /// Floor on round/downtime duration (protocol latency).
-  sim::Time min_round = sim::Time::us(50);
-};
-
 /// A VM as the control plane sees it.
 struct VmSpec {
   std::string name;  ///< unique across the cluster
@@ -95,7 +83,6 @@ struct Config {
   /// overridden per host.
   hv::Hypervisor::Config host_template;
   PlacementPolicyConfig placement;
-  MigrationOptions migration;
   /// Cluster load-balancer period; zero disables it.
   sim::Time balance_period = sim::Time::zero();
   /// Balancer acts when (max - min) per-host load exceeds this, where load

@@ -1,11 +1,16 @@
 #include "core/analyzer.hpp"
 
 namespace vprobe::core {
+namespace {
 
-double PmuDataAnalyzer::llc_pressure(const pmu::CounterSet& window,
-                                     double alpha) {
+/// Equation (2) scaling constant.
+constexpr double kAlpha = 1000.0;
+
+}  // namespace
+
+double PmuDataAnalyzer::llc_pressure(const pmu::CounterSet& window) {
   if (window.instr_retired <= 0.0) return 0.0;
-  return window.llc_refs / window.instr_retired * alpha;
+  return window.llc_refs / window.instr_retired * kAlpha;
 }
 
 hv::VcpuType PmuDataAnalyzer::classify(double pressure) const {
@@ -23,7 +28,7 @@ void PmuDataAnalyzer::analyze(hv::Vcpu& vcpu) const {
   if (affinity != numa::kInvalidNode) vcpu.node_affinity = affinity;
 
   // Equations (2) and (3).
-  vcpu.llc_pressure = llc_pressure(window, cfg_.alpha);
+  vcpu.llc_pressure = llc_pressure(window);
   vcpu.vcpu_type = classify(vcpu.llc_pressure);
 }
 

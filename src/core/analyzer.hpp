@@ -18,19 +18,16 @@
 
 namespace vprobe::core {
 
+/// The Equation (3) bounds; DynamicBounds moves them at run time.
 struct AnalyzerConfig {
-  double alpha = 1000.0;  ///< Equation (2) scaling constant
-  double low = 3.0;       ///< Equation (3) LLC-FR / LLC-FI bound
-  double high = 20.0;     ///< Equation (3) LLC-FI / LLC-T bound
+  double low = 3.0;    ///< Equation (3) LLC-FR / LLC-FI bound
+  double high = 20.0;  ///< Equation (3) LLC-FI / LLC-T bound
 };
 
 class PmuDataAnalyzer {
  public:
-  PmuDataAnalyzer() = default;
-  explicit PmuDataAnalyzer(AnalyzerConfig cfg) : cfg_(cfg) {}
-
   /// Equation (2) on a raw counter window.
-  static double llc_pressure(const pmu::CounterSet& window, double alpha);
+  static double llc_pressure(const pmu::CounterSet& window);
 
   /// Equation (3).
   hv::VcpuType classify(double pressure) const;

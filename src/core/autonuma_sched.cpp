@@ -4,10 +4,20 @@
 #include "hv/hypervisor.hpp"
 
 namespace vprobe::core {
+namespace {
+
+/// A VCPU migrates only when one node holds at least this fraction of its
+/// sampled accesses (mirrors NUMA balancing's preferred-node rule).
+constexpr double kDominanceThreshold = 0.55;
+/// Fault-sampling cost per active VCPU per period (page unmapping + fault
+/// handling amortised).
+constexpr sim::Time kSamplingCost = sim::Time::us(40);
+
+}  // namespace
 
 void AutoNumaScheduler::attach(hv::Hypervisor& hv) {
   CreditScheduler::attach(hv);
-  PagePolicy::Options popts = options_.page_policy;
+  PagePolicy::Options popts;
   popts.memory_intensive_only = false;  // NUMA balancing samples every task
   page_policy_ = PagePolicy(popts);
   sampler_ = std::make_unique<pmu::Sampler>(hv.engine(), options_.sampling_period);
@@ -45,7 +55,7 @@ void AutoNumaScheduler::on_sampling_period() {
     if (preferred == numa::kInvalidNode) continue;
     const double share =
         window.mem_accesses[static_cast<std::size_t>(preferred)] / total;
-    if (share < options_.dominance_threshold) continue;
+    if (share < kDominanceThreshold) continue;
 
     const numa::NodeId current = hv_->topology().node_of(v->pcpu);
     if (current != preferred) {
@@ -57,14 +67,12 @@ void AutoNumaScheduler::on_sampling_period() {
   }
 
   // Memory-follows-task for whoever stayed put.
-  if (options_.migrate_pages) {
-    const auto moved = page_policy_.run(*hv_);
-    hv_->charge_overhead(hv::OverheadBucket::kBalancing, moved.cost,
-                         &hv_->pcpu(0));
-  }
+  const auto moved = page_policy_.run(*hv_);
+  hv_->charge_overhead(hv::OverheadBucket::kBalancing, moved.cost,
+                       &hv_->pcpu(0));
 
   hv_->charge_overhead(hv::OverheadBucket::kPmuCollection,
-                       options_.sampling_cost * sampled, &hv_->pcpu(0));
+                       kSamplingCost * sampled, &hv_->pcpu(0));
 }
 
 }  // namespace vprobe::core

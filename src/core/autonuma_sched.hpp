@@ -29,15 +29,6 @@ class AutoNumaScheduler : public hv::CreditScheduler {
  public:
   struct Options {
     sim::Time sampling_period = sim::Time::sec(1);
-    /// A VCPU migrates only when one node holds at least this fraction of
-    /// its sampled accesses (mirrors NUMA balancing's preferred-node rule).
-    double dominance_threshold = 0.55;
-    /// Fault-sampling cost per active VCPU per period (page unmapping +
-    /// fault handling amortised).
-    sim::Time sampling_cost = sim::Time::us(40);
-    /// Page migration toward resident VCPUs.
-    bool migrate_pages = true;
-    PagePolicy::Options page_policy;
   };
 
   AutoNumaScheduler() = default;
@@ -49,7 +40,6 @@ class AutoNumaScheduler : public hv::CreditScheduler {
   void vcpu_created(hv::Vcpu& vcpu) override;
   void vcpu_retired(hv::Vcpu& vcpu) override;
 
-  const Options& options() const { return options_; }
   std::uint64_t task_migrations() const { return task_migrations_; }
 
  private:

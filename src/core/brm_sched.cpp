@@ -5,6 +5,19 @@
 #include "hv/hypervisor.hpp"
 
 namespace vprobe::core {
+namespace {
+
+/// Critical-section length of one penalty update under the global lock.
+constexpr sim::Time kLockService = sim::Time::us(10);
+/// Migration trials per period (each picks a random VCPU + best node).
+constexpr int kTrialsPerPeriod = 8;
+/// Minimum penalty improvement required to migrate.
+constexpr double kImprovementThreshold = 0.05;
+/// Probability of actually performing an improving migration (the "bias
+/// random" part).
+constexpr double kMigrateProbability = 0.75;
+
+}  // namespace
 
 void BrmScheduler::attach(hv::Hypervisor& hv) {
   CreditScheduler::attach(hv);
@@ -39,14 +52,14 @@ void BrmScheduler::locked_update(hv::Vcpu& vcpu, hv::Pcpu* where) {
   ++lock_updates_;
 
   // M/D/1 queueing wait at the global lock.
-  const double service_s = options_.lock_service.to_seconds();
+  const double service_s = kLockService.to_seconds();
   const double rho =
       std::min(update_rate_.rate(now) * service_s, 0.95);
   const double wait_s = service_s * rho / (2.0 * (1.0 - rho));
   update_rate_.record(1.0, now);
 
   const sim::Time cost =
-      options_.lock_service + sim::Time::seconds(wait_s);
+      kLockService + sim::Time::seconds(wait_s);
   hv_->charge_overhead(hv::OverheadBucket::kLockWait, cost, where);
 
   vcpu.uncore_penalty =
@@ -69,7 +82,7 @@ void BrmScheduler::on_sampling_period() {
   // Bias random migration: random VCPU, best node, migrate when the
   // system-wide penalty would drop.
   const int nodes = hv_->topology().num_nodes();
-  for (int t = 0; t < options_.trials_per_period; ++t) {
+  for (int t = 0; t < kTrialsPerPeriod; ++t) {
     hv::Vcpu& v = *vcpus[hv_->rng().pick_index(vcpus.size())];
     if (!v.active()) continue;
     const numa::NodeId cur = hv_->topology().node_of(v.pcpu);
@@ -83,8 +96,8 @@ void BrmScheduler::on_sampling_period() {
       }
     }
     const double improvement = uncore_penalty(v, cur) - best_penalty;
-    if (best != cur && improvement > options_.improvement_threshold &&
-        hv_->rng().chance(options_.migrate_probability)) {
+    if (best != cur && improvement > kImprovementThreshold &&
+        hv_->rng().chance(kMigrateProbability)) {
       hv_->migrate_to_node(v, best);
     }
   }

@@ -10,8 +10,8 @@
 //
 // The lock is modelled as an M/D/1 server: updates arrive whenever a VCPU
 // wakes, whenever a PCPU reschedules, and once per VCPU per sampling period;
-// each update costs `lock_service` plus a queueing wait s*rho/(2*(1-rho))
-// derived from the smoothed update arrival rate.  Both are charged to the
+// each update costs the lock's service time s plus a queueing wait
+// s*rho/(2*(1-rho)) derived from the smoothed update arrival rate.  Both are charged to the
 // PCPU where the update runs (kLockWait), so BRM's overhead shows up in
 // guest runtime exactly as the paper describes.
 #pragma once
@@ -28,15 +28,6 @@ class BrmScheduler : public hv::CreditScheduler {
  public:
   struct Options {
     sim::Time sampling_period = sim::Time::sec(1);
-    /// Critical-section length of one penalty update under the global lock.
-    sim::Time lock_service = sim::Time::us(10);
-    /// Migration trials per period (each picks a random VCPU + best node).
-    int trials_per_period = 8;
-    /// Minimum penalty improvement required to migrate.
-    double improvement_threshold = 0.05;
-    /// Probability of actually performing an improving migration (the
-    /// "bias random" part).
-    double migrate_probability = 0.75;
   };
 
   BrmScheduler() = default;
@@ -49,7 +40,6 @@ class BrmScheduler : public hv::CreditScheduler {
   void vcpu_retired(hv::Vcpu& vcpu) override;
   hv::Decision do_schedule(hv::Pcpu& pcpu) override;
 
-  const Options& options() const { return options_; }
   std::uint64_t lock_updates() const { return lock_updates_; }
 
   /// Expected uncore penalty of `vcpu` if it ran on `node`, from its last

@@ -28,10 +28,10 @@ void DynamicBounds::update(PmuDataAnalyzer& analyzer,
   cfg.low += cfg_.smoothing * (q_low - cfg.low);
   cfg.high += cfg_.smoothing * (q_high - cfg.high);
 
-  cfg.low = std::clamp(cfg.low, cfg_.min_low, cfg_.max_low);
-  cfg.high = std::clamp(cfg.high, cfg_.min_high, cfg_.max_high);
-  if (cfg.high - cfg.low < cfg_.min_gap) {
-    cfg.high = cfg.low + cfg_.min_gap;
+  cfg.low = std::clamp(cfg.low, kMinLow, kMaxLow);
+  cfg.high = std::clamp(cfg.high, kMinHigh, kMaxHigh);
+  if (cfg.high - cfg.low < kMinGap) {
+    cfg.high = cfg.low + kMinGap;
   }
 }
 

@@ -17,13 +17,14 @@ namespace vprobe::core {
 
 class DynamicBounds {
  public:
+  static constexpr double kMinLow = 1.0;    ///< envelope for the low bound
+  static constexpr double kMaxLow = 8.0;
+  static constexpr double kMinHigh = 10.0;  ///< envelope for the high bound
+  static constexpr double kMaxHigh = 40.0;
+  static constexpr double kMinGap = 4.0;    ///< enforced separation low..high
+
   struct Config {
-    double smoothing = 0.3;     ///< weight of the new quantile per period
-    double min_low = 1.0;       ///< envelope for the low bound
-    double max_low = 8.0;
-    double min_high = 10.0;     ///< envelope for the high bound
-    double max_high = 40.0;
-    double min_gap = 4.0;       ///< enforced separation low..high
+    double smoothing = 0.3;  ///< weight of the new quantile per period
   };
 
   DynamicBounds() = default;
@@ -32,8 +33,6 @@ class DynamicBounds {
   /// Update `analyzer`'s bounds from this period's pressures (one entry per
   /// VCPU that ran).  Empty input leaves the bounds untouched.
   void update(PmuDataAnalyzer& analyzer, std::vector<double> pressures);
-
-  const Config& config() const { return cfg_; }
 
  private:
   Config cfg_{};

@@ -9,7 +9,7 @@ namespace vprobe::core {
 double NumaAwareBalancer::live_pressure(const hv::Vcpu& vcpu) {
   const pmu::CounterSet window = vcpu.pmu.window_delta();
   if (window.instr_retired <= 0.0) return vcpu.llc_pressure;
-  return PmuDataAnalyzer::llc_pressure(window, 1000.0);
+  return PmuDataAnalyzer::llc_pressure(window);
 }
 
 hv::Vcpu* NumaAwareBalancer::steal(hv::Hypervisor& hv, hv::Pcpu& thief,

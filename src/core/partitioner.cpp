@@ -5,6 +5,9 @@
 namespace vprobe::core {
 namespace {
 
+/// Cost of one reassignment that actually moves a VCPU across nodes.
+constexpr sim::Time kPerMigrationCost = sim::Time::us(3);
+
 /// Index into the per-type group table: LLC-T first (it is assigned first).
 constexpr int kTypeT = 0;
 constexpr int kTypeFi = 1;
@@ -82,7 +85,7 @@ PeriodicalPartitioner::Result PeriodicalPartitioner::partition(
     --unassigned;
     ++reassigned_load[static_cast<std::size_t>(min_node)];
     ++result.reassigned;
-    result.cost += costs_.per_vcpu;
+    result.cost += kPerVcpuCost;
 
     // Algorithm 1 line 13 migrates to MIN-NODE's least loaded PCPU.  A VCPU
     // already on MIN-NODE stays put unless a strictly less loaded PCPU
@@ -98,7 +101,7 @@ PeriodicalPartitioner::Result PeriodicalPartitioner::partition(
       if (cur_load <= tgt_load) continue;
     } else {
       ++result.cross_node_moves;
-      result.cost += costs_.per_migration;
+      result.cost += kPerMigrationCost;
     }
     hv.migrate_to_node(*vc, min_node);
   }

@@ -24,12 +24,8 @@ namespace vprobe::core {
 
 class PeriodicalPartitioner {
  public:
-  struct Costs {
-    /// Bookkeeping cost per memory-intensive VCPU considered.
-    sim::Time per_vcpu = sim::Time::ns(150);
-    /// Cost of one reassignment that actually moves a VCPU across nodes.
-    sim::Time per_migration = sim::Time::us(3);
-  };
+  /// Bookkeeping cost per memory-intensive VCPU considered.
+  static constexpr sim::Time kPerVcpuCost = sim::Time::ns(150);
 
   struct Result {
     int considered = 0;        ///< memory-intensive VCPUs partitioned
@@ -38,17 +34,9 @@ class PeriodicalPartitioner {
     sim::Time cost;            ///< "overhead time" contribution
   };
 
-  PeriodicalPartitioner() = default;
-  explicit PeriodicalPartitioner(Costs costs) : costs_(costs) {}
-
   /// Run Algorithm 1 over all active VCPUs of `hv`.
   /// Does not charge overhead itself — the caller owns that policy.
   Result partition(hv::Hypervisor& hv) const;
-
-  const Costs& costs() const { return costs_; }
-
- private:
-  Costs costs_{};
 };
 
 }  // namespace vprobe::core

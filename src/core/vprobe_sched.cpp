@@ -3,12 +3,15 @@
 #include "hv/hypervisor.hpp"
 
 namespace vprobe::core {
+namespace {
+
+/// Per-VCPU PMU read-out cost at each period boundary.
+constexpr sim::Time kPmuReadCost = sim::Time::ns(250);
+
+}  // namespace
 
 void VprobeScheduler::attach(hv::Hypervisor& hv) {
   CreditScheduler::attach(hv);
-  analyzer_ = PmuDataAnalyzer(options_.analyzer);
-  partitioner_ = PeriodicalPartitioner(options_.partition_costs);
-  page_policy_ = PagePolicy(options_.page_policy);
   sampler_ = std::make_unique<pmu::Sampler>(hv.engine(), options_.sampling_period);
   sampler_->start([this] { on_sampling_period(); });
 }
@@ -55,7 +58,7 @@ void VprobeScheduler::on_sampling_period() {
     ++analyzed;
   }
   hv_->charge_overhead(hv::OverheadBucket::kPmuCollection,
-                       options_.pmu_read_cost * analyzed, &hv_->pcpu(0));
+                       kPmuReadCost * analyzed, &hv_->pcpu(0));
 
   if (options_.dynamic_bounds) {
     dynamic_bounds_.update(analyzer_, std::move(pressures));

@@ -25,16 +25,11 @@ class VprobeScheduler : public hv::CreditScheduler {
     bool enable_numa_balance = true;
     /// The paper's sampling period (1 s; swept in Figure 8).
     sim::Time sampling_period = sim::Time::sec(1);
-    AnalyzerConfig analyzer;
-    PeriodicalPartitioner::Costs partition_costs;
-    /// Per-VCPU PMU read-out cost at each period boundary.
-    sim::Time pmu_read_cost = sim::Time::ns(250);
     /// Future-work extension: adapt the Equation (3) bounds at runtime.
     bool dynamic_bounds = false;
     /// Future-work extension: migrate data toward memory-intensive VCPUs
     /// after partitioning (rate-limited; see PagePolicy).
     bool page_migration = false;
-    PagePolicy::Options page_policy;
   };
 
   VprobeScheduler() = default;

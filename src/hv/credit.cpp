@@ -128,7 +128,7 @@ void CreditScheduler::accounting() {
   if (doms.empty()) return;
 
   const double ticks_per_acct =
-      hv_->config().accounting_period / hv_->config().tick_period;
+      Hypervisor::kAccountingPeriod / Hypervisor::kTickPeriod;
   const double credit_total = params_.credits_per_tick * ticks_per_acct *
                               static_cast<double>(hv_->pcpus().size());
 

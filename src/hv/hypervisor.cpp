@@ -4,8 +4,14 @@
 #include <cassert>
 #include <stdexcept>
 
-
 namespace vprobe::hv {
+namespace {
+
+/// Perfctr-Xen counter save/restore cost, charged per context switch
+/// (Section IV-B: counters are updated before each VCPU switch).
+constexpr sim::Time kPmuSaveRestoreCost = sim::Time::ns(400);
+
+}  // namespace
 
 Hypervisor::Hypervisor(Config config, std::unique_ptr<Scheduler> scheduler)
     : Hypervisor(std::move(config), std::move(scheduler), nullptr) {}
@@ -82,9 +88,7 @@ Domain& Hypervisor::create_domain(const std::string& name,
     scheduler_->vcpu_created(v);
   }
   (void)preferred_node;  // only steers the memory placement policy
-#if defined(VPROBE_CHECKS)
   if (observer_ != nullptr) observer_->on_domain_created(*this, dom);
-#endif
   return dom;
 }
 
@@ -144,17 +148,13 @@ void Hypervisor::destroy_domain(Domain& dom) {
   if (it == domains_.end()) {
     throw std::invalid_argument("destroy_domain: domain not owned by this hypervisor");
   }
-#if defined(VPROBE_CHECKS)
   if (observer_ != nullptr) observer_->before_domain_destroy(*this, dom);
-#endif
   for (std::size_t i = 0; i < dom.num_vcpus(); ++i) retire_vcpu(dom.vcpu(i));
   emit(trace::EventKind::kDomainDestroy, -1, -1, dom.id());
   // Erasing the owning pointer frees the VCPUs and the VmMemory — the
   // VmMemory destructor releases every homed chunk back to its node pool.
   domains_.erase(it);
-#if defined(VPROBE_CHECKS)
   if (observer_ != nullptr) observer_->after_domain_destroy(*this);
-#endif
 }
 
 void Hypervisor::destroy_domain(int domain_id) {
@@ -249,7 +249,7 @@ void Hypervisor::start() {
   for (auto& p : pcpus_) {
     Pcpu* pp = &p;
     const sim::Time phase =
-        (config_.tick_period * pp->id) / static_cast<std::int64_t>(pcpus_.size());
+        (kTickPeriod * pp->id) / static_cast<std::int64_t>(pcpus_.size());
     // First-class periodic timer with an explicit first firing: the engine
     // re-arms the same event slot in place, so a tick costs no allocation
     // and no bootstrap wrapper event.  The re-arm draws its sequence number
@@ -257,18 +257,16 @@ void Hypervisor::start() {
     // stream as the old schedule-then-rearm chain, keeping golden traces
     // bit-identical.
     tick_timers_.push_back(engine_.schedule_periodic_at(
-        engine_.now() + phase, config_.tick_period,
+        engine_.now() + phase, kTickPeriod,
         [this, pp] { on_tick(*pp); }));
   }
   accounting_timer_ =
-      engine_.schedule_periodic(config_.accounting_period, [this] { on_accounting(); });
+      engine_.schedule_periodic(kAccountingPeriod, [this] { on_accounting(); });
 }
 
 void Hypervisor::on_tick(Pcpu& p) {
   scheduler_->tick(p);
-#if defined(VPROBE_CHECKS)
   if (observer_ != nullptr) observer_->after_tick(*this, p);
-#endif
   if (p.busy()) {
     // Preempt when a queued VCPU now outranks the running one (e.g. the
     // running VCPU just went OVER, or a BOOST is waiting).
@@ -283,13 +281,9 @@ void Hypervisor::on_tick(Pcpu& p) {
 }
 
 void Hypervisor::on_accounting() {
-#if defined(VPROBE_CHECKS)
   if (observer_ != nullptr) observer_->before_accounting(*this);
-#endif
   scheduler_->accounting();
-#if defined(VPROBE_CHECKS)
   if (observer_ != nullptr) observer_->after_accounting(*this);
-#endif
 }
 
 void Hypervisor::wake(Vcpu& vcpu) {
@@ -485,7 +479,7 @@ void Hypervisor::start_running(Pcpu& p, Vcpu& v, sim::Time slice) {
   // Perfctr-Xen: a running VCPU's counters are saved/restored around each
   // context switch (Section IV-B).
   v.pmu.record_save_restore();
-  charge_overhead(OverheadBucket::kPmuCollection, config_.pmu_save_restore_cost, &p);
+  charge_overhead(OverheadBucket::kPmuCollection, kPmuSaveRestoreCost, &p);
   p.slice_end = engine_.now() + slice;
   start_segment(p);
 }

@@ -40,15 +40,13 @@ namespace vprobe::hv {
 
 class Hypervisor {
  public:
+  static constexpr sim::Time kTickPeriod = sim::Time::ms(10);        ///< Xen csched tick
+  static constexpr sim::Time kAccountingPeriod = sim::Time::ms(30);  ///< Xen csched acct
+
   struct Config {
     numa::MachineConfig machine = numa::MachineConfig::xeon_e5620();
-    sim::Time tick_period = sim::Time::ms(10);        ///< Xen csched tick
-    sim::Time accounting_period = sim::Time::ms(30);  ///< Xen csched acct
     sim::Time slice = sim::Time::ms(30);              ///< Credit timeslice
     sim::Time context_switch_cost = sim::Time::us(2);
-    /// Perfctr-Xen counter save/restore cost, charged per context switch
-    /// (Section IV-B: counters are updated before each VCPU switch).
-    sim::Time pmu_save_restore_cost = sim::Time::ns(400);
     std::uint64_t seed = 1;
     /// The slice-clamp fast path and the unchanged-burst reuse in
     /// start_segment, and the tracker decay-factor memos.  Every reuse path
@@ -183,8 +181,7 @@ class Hypervisor {
   trace::Tracer* tracer() { return tracer_; }
 
   /// Attach an invariant-checking observer (nullptr detaches).  Non-owning;
-  /// the observer must outlive the hypervisor or be detached first.  The
-  /// hook call sites only exist when the build defines VPROBE_CHECKS.
+  /// the observer must outlive the hypervisor or be detached first.
   void set_observer(HvObserver* observer) { observer_ = observer; }
   HvObserver* observer() { return observer_; }
 
@@ -192,9 +189,7 @@ class Hypervisor {
   void emit(trace::EventKind kind, std::int32_t vcpu, std::int32_t pcpu,
             std::int32_t aux = 0) {
     if (tracer_ != nullptr) tracer_->record(engine_.now(), kind, vcpu, pcpu, aux);
-#if defined(VPROBE_CHECKS)
     if (observer_ != nullptr) observer_->on_trace_event(*this, kind, vcpu);
-#endif
   }
 
   /// Least-loaded PCPU (by the paper's `workload` counter, then by id) of a

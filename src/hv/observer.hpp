@@ -1,9 +1,8 @@
 // Hook interface the hypervisor drives for cross-cutting observers — today
 // the runtime invariant checker (src/check).  The hooks fire at the two
 // accounting granularities the checker validates: after every scheduler
-// tick and around every accounting pass.  Call sites are compiled in only
-// when the build defines VPROBE_CHECKS, so a Release build without it pays
-// nothing; with it, an unattached observer costs one predictable branch.
+// tick and around every accounting pass.  An unattached observer costs one
+// predictable branch per call site.
 #pragma once
 
 #include "trace/event.hpp"

@@ -1,6 +1,13 @@
 #include "numa/page_migration.hpp"
 
 namespace vprobe::numa {
+namespace {
+
+/// Do not bother migrating when at least this fraction already lives on the
+/// target node.
+constexpr double kSatisfactionThreshold = 0.90;
+
+}  // namespace
 
 PageMigrator::Result PageMigrator::rebalance(VmMemory& memory,
                                              const Region& region,
@@ -11,7 +18,7 @@ PageMigrator::Result PageMigrator::rebalance(VmMemory& memory,
   if (target < 0 || static_cast<std::size_t>(target) >= fractions.size()) {
     return result;
   }
-  if (fractions[static_cast<std::size_t>(target)] >= cfg_.satisfaction_threshold) {
+  if (fractions[static_cast<std::size_t>(target)] >= kSatisfactionThreshold) {
     return result;
   }
   for (std::int64_t c = region.first_chunk;
@@ -22,7 +29,7 @@ PageMigrator::Result PageMigrator::rebalance(VmMemory& memory,
     if (home == kInvalidNode || home == target) continue;
     if (memory.migrate_chunk(c, target)) {
       ++result.chunks_moved;
-      result.cost += cfg_.cost_per_chunk;
+      result.cost += kCostPerChunk;
     }
   }
   return result;

@@ -17,15 +17,13 @@ namespace vprobe::numa {
 
 class PageMigrator {
  public:
+  /// Cost of moving one chunk.  4 MiB over ~10 GB/s plus TLB shootdowns
+  /// lands in the few-hundred-microsecond range.
+  static constexpr sim::Time kCostPerChunk = sim::Time::us(400);
+
   struct Config {
     /// Upper bound on chunks moved per rebalance() call (rate limiting).
     int max_chunks_per_round = 16;
-    /// Cost of moving one chunk.  4 MiB over ~10 GB/s plus TLB shootdowns
-    /// lands in the few-hundred-microsecond range.
-    sim::Time cost_per_chunk = sim::Time::us(400);
-    /// Do not bother migrating when at least this fraction already lives on
-    /// the target node.
-    double satisfaction_threshold = 0.90;
   };
 
   struct Result {
@@ -39,8 +37,6 @@ class PageMigrator {
   /// Move up to max_chunks_per_round chunks of `region` onto `target`.
   /// Chunks are scanned in address order; homeless chunks are skipped.
   Result rebalance(VmMemory& memory, const Region& region, NodeId target) const;
-
-  const Config& config() const { return cfg_; }
 
  private:
   Config cfg_{};

@@ -59,6 +59,10 @@ class MemoryManager {
   int num_nodes() const { return static_cast<int>(free_.size()); }
 
  private:
+  /// Tests corrupt the pool through this, to prove the invariant checker
+  /// catches a state no public call can reach (tests/check_test.cpp).
+  friend struct MemoryManagerFaults;
+
   std::vector<std::int64_t> capacity_;
   std::vector<std::int64_t> free_;
 };

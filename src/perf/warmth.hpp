@@ -15,42 +15,35 @@ namespace vprobe::perf {
 
 class CacheWarmth {
  public:
-  struct Config {
-    /// Warmth retained when migrating within a node (LLC survives).
-    double same_node_retention = 0.75;
-    /// Warmth retained when migrating across nodes (nothing survives).
-    double cross_node_retention = 0.0;
-    /// Instructions needed to recover ~63% of lost warmth.
-    double refill_instructions = 20e6;
-    /// Extra LLC miss rate at warmth 0 (decays linearly with warmth).
-    double cold_miss_boost = 0.30;
-  };
-
-  CacheWarmth() = default;
-  explicit CacheWarmth(Config cfg) : cfg_(cfg) {}
+  /// Instructions needed to recover ~63% of lost warmth.
+  static constexpr double kRefillInstructions = 20e6;
+  /// Extra LLC miss rate at warmth 0 (decays linearly with warmth).
+  static constexpr double kColdMissBoost = 0.30;
 
   double value() const { return warmth_; }
 
   /// Apply a migration penalty.
   void on_migration(bool cross_node) {
-    warmth_ *= cross_node ? cfg_.cross_node_retention : cfg_.same_node_retention;
+    warmth_ *= cross_node ? kCrossNodeRetention : kSameNodeRetention;
   }
 
   /// Warm up after executing `instructions`.
   void on_executed(double instructions) {
     if (instructions <= 0.0) return;
-    const double k = 1.0 - std::exp(-instructions / cfg_.refill_instructions);
+    const double k = 1.0 - std::exp(-instructions / kRefillInstructions);
     warmth_ += (1.0 - warmth_) * k;
     warmth_ = std::clamp(warmth_, 0.0, 1.0);
   }
 
   /// Additional LLC miss rate due to cold caches.
-  double extra_miss_rate() const { return cfg_.cold_miss_boost * (1.0 - warmth_); }
-
-  const Config& config() const { return cfg_; }
+  double extra_miss_rate() const { return kColdMissBoost * (1.0 - warmth_); }
 
  private:
-  Config cfg_{};
+  /// Warmth retained when migrating within a node (LLC survives).
+  static constexpr double kSameNodeRetention = 0.75;
+  /// Warmth retained when migrating across nodes (nothing survives).
+  static constexpr double kCrossNodeRetention = 0.0;
+
   double warmth_ = 1.0;
 };
 

@@ -192,7 +192,7 @@ bool maybe_print_help(const Cli& cli, const char* summary, const char* extra) {
         "  --period S       scheduler sampling period in seconds (default 1.0)\n"
         "  --json PATH      also write results as JSON lines to PATH (- = stdout)\n"
         "  --checks         run the invariant checker on every simulation and\n"
-        "                   abort on any violation (VPROBE_CHECKS builds)\n"
+        "                   abort on any violation\n"
         "  --no-rate-cache  disable the segment-path reuse: slice clamp, burst\n"
         "                   reuse, decay memos (results are bit-identical\n"
         "                   either way; this is the escape hatch differential\n"

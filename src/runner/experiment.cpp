@@ -241,9 +241,9 @@ stats::RunMetrics run_redis_single(const RunConfig& config, int connections,
   hv->start();
   hungry.start();
   auto ticks1 = guest_ticks(*hv, *vms.vm1,
-                            static_cast<std::size_t>(rcfg.pairs));
+                            std::size_t{wl::RedisWorkload::kPairs});
   auto ticks2 = guest_ticks(*hv, *vms.vm2,
-                            static_cast<std::size_t>(rcfg.pairs));
+                            std::size_t{wl::RedisWorkload::kPairs});
   hv->engine().schedule(sim::Time::ms(10), [&redis] { redis.start(); });
 
   const bool done = run_until(*hv, [&] { return redis.finished(); }, config.horizon);

@@ -30,8 +30,7 @@ struct RunConfig {
   /// Section V-A defaults (15/5/1 GB).
   bool fig1_memory_config = false;
   /// Attach the runtime invariant checker (src/check) to every run and
-  /// throw if any invariant is violated.  Hook-level checking needs a
-  /// VPROBE_CHECKS build; other builds still get the final full sweep.
+  /// throw if any invariant is violated.
   bool checks = false;
 };
 

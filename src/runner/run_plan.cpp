@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -99,11 +100,11 @@ std::vector<RunResult> ParallelExecutor::run(const RunPlan& plan) const {
                     static_cast<double>(units.size() - d)
               : 0.0;
     std::lock_guard<std::mutex> lock(progress_mu);
-    std::fprintf(options_.progress_sink,
+    std::fprintf(stderr,
                  "\r[%zu/%zu runs] elapsed %.1fs  eta %.1fs   ", d,
                  units.size(), elapsed, eta);
-    if (d == units.size()) std::fputc('\n', options_.progress_sink);
-    std::fflush(options_.progress_sink);
+    if (d == units.size()) std::fputc('\n', stderr);
+    std::fflush(stderr);
   };
 
   auto worker = [&] {

@@ -15,7 +15,6 @@
 // its own slot and never poisons sibling jobs.
 #pragma once
 
-#include <cstdio>
 #include <functional>
 #include <span>
 #include <string>
@@ -83,9 +82,8 @@ struct RunResult {
 struct ExecutorOptions {
   /// Worker threads; <= 0 means one per hardware thread.
   int jobs = 1;
-  /// Emit a single-line [done/total + ETA] progress ticker to `sink`.
+  /// Emit a single-line [done/total + ETA] progress ticker to stderr.
   bool progress = false;
-  std::FILE* progress_sink = stderr;
 };
 
 /// Thread-pool executor over RunPlans.  Stateless between run() calls.

@@ -1,6 +1,8 @@
 #include "runner/scenario_file.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -49,6 +51,36 @@ numa::PlacementPolicy parse_policy(const std::string& name, int line) {
   if (name == "on_node") return numa::PlacementPolicy::kOnNode;
   if (name == "first_touch") return numa::PlacementPolicy::kFirstTouch;
   throw err(line, "unknown placement policy '" + name + "'");
+}
+
+/// wl::parse_scaled, with the line number on a malformed value.
+double number(const std::string& v, int line) {
+  try {
+    return wl::parse_scaled(v);
+  } catch (const std::invalid_argument& e) {
+    throw err(line, e.what());
+  }
+}
+
+/// An integer key: a whole number that fits T (a plain cast would truncate
+/// a fraction and is undefined out of range).
+template <typename T>
+T whole(const std::string& key, const std::string& v, int line) {
+  const double x = number(v, line);
+  // T's range is [min, 2^digits): both bounds are exact doubles.
+  const double lo = static_cast<double>(std::numeric_limits<T>::min());
+  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(x == std::floor(x) && x >= lo && x < hi)) {
+    throw err(line, key + "= must be a whole number in range, got " + v);
+  }
+  return static_cast<T>(x);
+}
+
+/// A 0/1 switch.
+bool flag(const std::string& key, const std::string& v, int line) {
+  const double x = number(v, line);
+  if (x != 0.0 && x != 1.0) throw err(line, key + "= must be 0 or 1, got " + v);
+  return x == 1.0;
 }
 
 /// Split remaining words into key=value pairs.
@@ -128,17 +160,17 @@ ScenarioSpec parse_scenario(std::string_view text) {
         if (k == "name") {
           vm.name = v;
         } else if (k == "mem") {
-          vm.mem_bytes = static_cast<std::int64_t>(wl::parse_scaled(v));
+          vm.mem_bytes = whole<std::int64_t>("mem", v, line_no);
         } else if (k == "vcpus") {
-          vm.vcpus = static_cast<int>(wl::parse_scaled(v));
+          vm.vcpus = whole<int>("vcpus", v, line_no);
         } else if (k == "policy") {
           vm.policy = parse_policy(v, line_no);
         } else if (k == "preferred") {
-          vm.preferred = static_cast<int>(wl::parse_scaled(v));
+          vm.preferred = whole<int>("preferred", v, line_no);
         } else if (k == "alternate") {
-          vm.alternate = wl::parse_scaled(v) != 0.0;
+          vm.alternate = flag("alternate", v, line_no);
         } else if (k == "host") {
-          vm.host = static_cast<int>(wl::parse_scaled(v));
+          vm.host = whole<int>("host", v, line_no);
           if (vm.host < 0) throw err(line_no, "vm host= must be >= 0");
         } else {
           throw err(line_no, "unknown vm field '" + k + "'");
@@ -161,17 +193,17 @@ ScenarioSpec parse_scenario(std::string_view text) {
         } else if (k == "profile") {
           app.profile = v;
         } else if (k == "count") {
-          app.count = static_cast<int>(wl::parse_scaled(v));
+          app.count = whole<int>("count", v, line_no);
         } else if (k == "threads") {
-          app.threads = static_cast<int>(wl::parse_scaled(v));
+          app.threads = whole<int>("threads", v, line_no);
         } else if (k == "from") {
-          app.from = static_cast<int>(wl::parse_scaled(v));
+          app.from = whole<int>("from", v, line_no);
         } else if (k == "measure") {
-          app.measure = wl::parse_scaled(v) != 0.0;
+          app.measure = flag("measure", v, line_no);
         } else if (k == "instr") {
-          app.instr = wl::parse_scaled(v);
+          app.instr = number(v, line_no);
         } else if (k == "batch") {
-          app.batch = static_cast<int>(wl::parse_scaled(v));
+          app.batch = whole<int>("batch", v, line_no);
         } else {
           throw err(line_no, "unknown app field '" + k + "'");
         }
@@ -203,31 +235,31 @@ ScenarioSpec parse_scenario(std::string_view text) {
       spec.churn.seed = 0;  // 0 = derive from the scenario seed at run time
       for (const auto& [k, v] : keyvals(words, line_no)) {
         if (k == "seed") {
-          spec.churn.seed = static_cast<std::uint64_t>(wl::parse_scaled(v));
+          spec.churn.seed = whole<std::uint64_t>("seed", v, line_no);
         } else if (k == "start") {
-          spec.churn.start_after = sim::Time::seconds(wl::parse_scaled(v));
+          spec.churn.start_after = sim::Time::seconds(number(v, line_no));
         } else if (k == "interarrival") {
-          spec.churn.mean_interarrival = sim::Time::seconds(wl::parse_scaled(v));
+          spec.churn.mean_interarrival = sim::Time::seconds(number(v, line_no));
         } else if (k == "lifetime") {
-          spec.churn.mean_lifetime = sim::Time::seconds(wl::parse_scaled(v));
+          spec.churn.mean_lifetime = sim::Time::seconds(number(v, line_no));
         } else if (k == "pause_prob") {
-          spec.churn.pause_probability = wl::parse_scaled(v);
+          spec.churn.pause_probability = number(v, line_no);
         } else if (k == "pause") {
-          spec.churn.mean_pause = sim::Time::seconds(wl::parse_scaled(v));
+          spec.churn.mean_pause = sim::Time::seconds(number(v, line_no));
         } else if (k == "max_arrivals") {
-          spec.churn.max_arrivals = static_cast<int>(wl::parse_scaled(v));
+          spec.churn.max_arrivals = whole<int>("max_arrivals", v, line_no);
         } else if (k == "max_live") {
-          spec.churn.max_live = static_cast<int>(wl::parse_scaled(v));
+          spec.churn.max_live = whole<int>("max_live", v, line_no);
         } else if (k == "vcpus_min") {
-          spec.churn.min_vcpus = static_cast<int>(wl::parse_scaled(v));
+          spec.churn.min_vcpus = whole<int>("vcpus_min", v, line_no);
         } else if (k == "vcpus_max") {
-          spec.churn.max_vcpus = static_cast<int>(wl::parse_scaled(v));
+          spec.churn.max_vcpus = whole<int>("vcpus_max", v, line_no);
         } else if (k == "mem_min") {
-          spec.churn.min_mem_bytes = static_cast<std::int64_t>(wl::parse_scaled(v));
+          spec.churn.min_mem_bytes = whole<std::int64_t>("mem_min", v, line_no);
         } else if (k == "mem_max") {
-          spec.churn.max_mem_bytes = static_cast<std::int64_t>(wl::parse_scaled(v));
+          spec.churn.max_mem_bytes = whole<std::int64_t>("mem_max", v, line_no);
         } else if (k == "tickers") {
-          spec.churn.ticker_fraction = wl::parse_scaled(v);
+          spec.churn.ticker_fraction = number(v, line_no);
         } else {
           throw err(line_no, "unknown churn field '" + k + "'");
         }
@@ -256,24 +288,24 @@ ScenarioSpec parse_scenario(std::string_view text) {
       spec.openloop_enabled = true;
       for (const auto& [k, v] : keyvals(words, line_no)) {
         if (k == "rps") {
-          spec.openloop.rps = wl::parse_scaled(v);
+          spec.openloop.rps = number(v, line_no);
         } else if (k == "start") {
-          spec.openloop.start_s = wl::parse_scaled(v);
+          spec.openloop.start_s = number(v, line_no);
         } else if (k == "seed") {
-          spec.openloop.seed = static_cast<std::uint64_t>(wl::parse_scaled(v));
+          spec.openloop.seed = whole<std::uint64_t>("seed", v, line_no);
         } else if (k == "requests") {
           spec.openloop.max_requests =
-              static_cast<std::uint64_t>(wl::parse_scaled(v));
+              whole<std::uint64_t>("requests", v, line_no);
         } else if (k == "spike_at") {
-          spec.openloop.spike_at_s = wl::parse_scaled(v);
+          spec.openloop.spike_at_s = number(v, line_no);
         } else if (k == "spike_until") {
-          spec.openloop.spike_until_s = wl::parse_scaled(v);
+          spec.openloop.spike_until_s = number(v, line_no);
         } else if (k == "spike_x") {
-          spec.openloop.spike_x = wl::parse_scaled(v);
+          spec.openloop.spike_x = number(v, line_no);
         } else if (k == "diurnal_period") {
-          spec.openloop.diurnal_period_s = wl::parse_scaled(v);
+          spec.openloop.diurnal_period_s = number(v, line_no);
         } else if (k == "diurnal_amp") {
-          spec.openloop.diurnal_amp = wl::parse_scaled(v);
+          spec.openloop.diurnal_amp = number(v, line_no);
         } else if (k == "balance") {
           if (v != "rr" && v != "p2c") {
             throw err(line_no, "openloop balance must be rr or p2c");
@@ -294,7 +326,7 @@ ScenarioSpec parse_scenario(std::string_view text) {
       if (spec.slo_ms > 0) throw err(line_no, "duplicate slo directive");
       for (const auto& [k, v] : keyvals(words, line_no)) {
         if (k == "ms") {
-          spec.slo_ms = wl::parse_scaled(v);
+          spec.slo_ms = number(v, line_no);
         } else {
           throw err(line_no, "unknown slo field '" + k + "'");
         }
@@ -305,9 +337,9 @@ ScenarioSpec parse_scenario(std::string_view text) {
       spec.balance_enabled = true;
       for (const auto& [k, v] : keyvals(words, line_no)) {
         if (k == "period") {
-          spec.balance_period_s = wl::parse_scaled(v);
+          spec.balance_period_s = number(v, line_no);
         } else if (k == "threshold") {
-          spec.balance_threshold = wl::parse_scaled(v);
+          spec.balance_threshold = number(v, line_no);
         } else {
           throw err(line_no, "unknown balance field '" + k + "'");
         }
@@ -320,9 +352,9 @@ ScenarioSpec parse_scenario(std::string_view text) {
         if (k == "vm") {
           mig.vm = v;
         } else if (k == "to") {
-          mig.to_host = static_cast<int>(wl::parse_scaled(v));
+          mig.to_host = whole<int>("to", v, line_no);
         } else if (k == "at") {
-          mig.at_s = wl::parse_scaled(v);
+          mig.at_s = number(v, line_no);
         } else {
           throw err(line_no, "unknown migrate field '" + k + "'");
         }

@@ -61,6 +61,10 @@
 // `from`), kv (request server with `threads=` workers from `from`).  Apps
 // with measure=1 define run completion and the reported runtime; when none
 // is marked, every spec/npb app is measured.
+//
+// Numbers take a K/M/G suffix (powers of 1024).  Counts, sizes, ids and
+// seeds must be whole and fit their field, and alternate=/measure= take 0
+// or 1; anything else is rejected with its line number.
 #pragma once
 
 #include <string>

@@ -134,9 +134,7 @@ bool Engine::pop_one() {
   Slot& s = slot(top.slot);
   assert(top.when >= now_);
   assert(pos_[top.slot] == 0 && s.state == Slot::State::kQueued);
-#if defined(VPROBE_CHECKS)
   if (observer_ != nullptr) observer_->on_event(top.when, top.seq);
-#endif
   heap_remove(0);
   now_ = top.when;
   ++executed_;

@@ -68,8 +68,7 @@ class EventHandle {
 class Engine {
  public:
   /// Invariant-checker hook: notified immediately before each event fires.
-  /// The call site only exists when the build defines VPROBE_CHECKS; an
-  /// attached observer must outlive the engine or be detached first.
+  /// An attached observer must outlive the engine or be detached first.
   class Observer {
    public:
     virtual ~Observer() = default;

@@ -4,22 +4,30 @@
 #include <stdexcept>
 
 namespace vprobe::wl {
+namespace {
+
+/// Extra per-request instructions per parallel connection (event-loop scan,
+/// fd bookkeeping).
+constexpr double kConnOverheadInstr = 6.0;
+/// Client-side processing per completed request.
+constexpr double kClientInstrPerRequest = 8e3;
+
+}  // namespace
 
 RedisWorkload::RedisWorkload(hv::Hypervisor& hv, hv::Domain& server_domain,
                              hv::Domain& client_domain, Config config,
                              std::span<hv::Vcpu* const> server_vcpus,
                              std::span<hv::Vcpu* const> client_vcpus)
     : hv_(&hv), config_(config) {
-  if (config_.pairs < 1) throw std::invalid_argument("RedisWorkload: pairs < 1");
-  if (client_vcpus.size() < static_cast<std::size_t>(config_.pairs)) {
+  if (client_vcpus.size() < std::size_t{kPairs}) {
     throw std::invalid_argument("RedisWorkload: not enough client VCPUs");
   }
 
   RequestServer::Config scfg;
   scfg.profile = "redis";
-  scfg.workers = config_.pairs;  // one single-threaded server per pair
+  scfg.workers = kPairs;  // one single-threaded server per pair
   scfg.instr_per_request = config_.instr_per_request +
-                           config_.conn_overhead_instr *
+                           kConnOverheadInstr *
                                static_cast<double>(config_.connections);
   scfg.max_batch = config_.batch;
   scfg.name = "redis";
@@ -29,10 +37,10 @@ RedisWorkload::RedisWorkload(hv::Hypervisor& hv, hv::Domain& server_domain,
   };
 
   const AppProfile& client_prof = profile("client");
-  pairs_.resize(static_cast<std::size_t>(config_.pairs));
-  client_vcpus_.assign(client_vcpus.begin(), client_vcpus.begin() + config_.pairs);
-  const std::uint64_t per_pair = config_.total_requests / static_cast<std::uint64_t>(config_.pairs);
-  for (int i = 0; i < config_.pairs; ++i) {
+  pairs_.resize(std::size_t{kPairs});
+  client_vcpus_.assign(client_vcpus.begin(), client_vcpus.begin() + kPairs);
+  const std::uint64_t per_pair = config_.total_requests / std::uint64_t{kPairs};
+  for (int i = 0; i < kPairs; ++i) {
     auto& pair = pairs_[static_cast<std::size_t>(i)];
     pair.budget = per_pair;
     ComputeThread::Init init;
@@ -40,7 +48,7 @@ RedisWorkload::RedisWorkload(hv::Hypervisor& hv, hv::Domain& server_domain,
     init.memory = &client_domain.memory();
     init.region = client_domain.memory().alloc_region(client_prof.footprint_bytes);
     init.total_instructions = client_prof.default_instructions;
-    init.burst_instructions = config_.client_instr_per_request;
+    init.burst_instructions = kClientInstrPerRequest;
     init.name = "redis-bench.t" + std::to_string(i);
     pair.client = std::make_unique<ClientThread>(std::move(init), this, i);
     pair.client->bind(hv, *client_vcpus_[static_cast<std::size_t>(i)]);
@@ -96,7 +104,7 @@ void RedisWorkload::handle_served(int worker, int n, sim::Time now) {
     pair.processing = pair.to_resubmit;
     pair.to_resubmit = 0;
     pair.client->begin_processing(static_cast<double>(pair.processing) *
-                                  config_.client_instr_per_request);
+                                  kClientInstrPerRequest);
     hv_->wake(*cv);
   }
 }
@@ -110,7 +118,7 @@ hv::Outcome RedisWorkload::client_processed(int pair_idx, sim::Time now) {
     pair.processing = pair.to_resubmit;
     pair.to_resubmit = 0;
     pair.client->begin_processing(static_cast<double>(pair.processing) *
-                                  config_.client_instr_per_request);
+                                  kClientInstrPerRequest);
     return {hv::OutcomeKind::kContinue};
   }
   return {hv::OutcomeKind::kBlockUntilWake};

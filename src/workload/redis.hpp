@@ -21,15 +21,12 @@ namespace vprobe::wl {
 
 class RedisWorkload {
  public:
+  static constexpr int kPairs = 4;  ///< server/benchmark pairs
+
   struct Config {
-    int pairs = 4;                      ///< server/benchmark pairs
     int connections = 2000;             ///< parallel connections per tool
     std::uint64_t total_requests = 400'000;  ///< summed over pairs
     double instr_per_request = 70e3;    ///< base GET service demand
-    /// Extra per-request instructions per parallel connection (event-loop
-    /// scan, fd bookkeeping).
-    double conn_overhead_instr = 6.0;
-    double client_instr_per_request = 8e3;
     int batch = 64;                     ///< requests per client<->server hop
   };
 

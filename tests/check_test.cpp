@@ -3,11 +3,13 @@
 // Two directions: clean runs across schedulers must produce zero
 // violations, and deliberately injected bugs — a sign-flipped accounting
 // pass, a blocked VCPU smuggled onto a run queue, a corrupted priority, a
-// double-released memory chunk, engine events out of (when, seq) order —
+// double-released memory chunk, engine events out of (when, seq) order, and
+// one corruption per rule in CheckInjection.EveryRuleReportsItsMessage —
 // must each be caught.  The injection tests are the checker's own
 // regression suite: if they stop firing, the checker has gone blind.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <memory>
 #include <string>
@@ -19,6 +21,17 @@
 #include "scenario_helpers.hpp"
 #include "test_helpers.hpp"
 #include "workload/spec.hpp"
+
+namespace vprobe::numa {
+
+/// Breaks the memory pool's bookkeeping behind its back.
+struct MemoryManagerFaults {
+  static void set_free(MemoryManager& mm, NodeId node, std::int64_t chunks) {
+    mm.free_.at(static_cast<std::size_t>(node)) = chunks;
+  }
+};
+
+}  // namespace vprobe::numa
 
 namespace vprobe {
 namespace {
@@ -37,12 +50,10 @@ TEST_P(CheckCleanRun, NoViolations) {
   test::run_mini(sc);
   checker.expect_ok();  // prints the violations on failure
   EXPECT_TRUE(checker.ok());
-#if defined(VPROBE_CHECKS)
-  // Hooks compiled in: the checker must actually have observed the run.
+  // The checker must actually have observed the run.
   EXPECT_GT(checker.events_seen(), 0u);
   EXPECT_GT(checker.checks_run(), 0u);
-#endif
-  checker.check_now();  // final sweep works in any build
+  checker.check_now();
   EXPECT_TRUE(checker.ok());
 }
 
@@ -107,8 +118,6 @@ TEST(CheckFirstTouch, ScenarioChunksAreHomedOnTheTouchersNode) {
 
 // ---------------------------------------------------- injected bugs ----
 
-#if defined(VPROBE_CHECKS)
-
 /// Credit scheduler whose accounting pass has its sign flipped: it debits
 /// instead of granting and leaves priorities stale.  The conservation hook
 /// must catch both the debit and the resulting UNDER-with-debt VCPUs.
@@ -150,8 +159,6 @@ TEST(CheckInjection, SignFlippedAccountingIsCaught) {
   EXPECT_TRUE(mentions_credit) << checker.violations().front().what;
   EXPECT_THROW(checker.expect_ok(), std::runtime_error);
 }
-
-#endif  // VPROBE_CHECKS
 
 TEST(CheckInjection, BlockedVcpuOnRunQueueIsCaught) {
   auto hv = test::make_credit_hv(7);
@@ -261,6 +268,240 @@ TEST(CheckInjection, EngineOrderBreaksAreCaught) {
             "engine: FIFO order broken at 1000 ns (seq 4 after seq 9)");
   EXPECT_EQ(checker.events_seen(), 4u);
   EXPECT_THROW(checker.expect_ok(), std::runtime_error);
+}
+
+// One corruption per rule, each asserting the message its rule reports.
+// The rig is an unstarted Credit machine with one 8-VCPU domain, all
+// Blocked; each row breaks one thing through VCPU 0, then runs the sweep or
+// hook that judges it.
+struct CorruptRig {
+  numa::PcpuMask detached{8};  // outlives hv: a rebound queue points into it
+  std::unique_ptr<hv::Hypervisor> hv = test::make_credit_hv(7);
+  hv::Domain& dom = hv->create_domain("VM1", test::kTestGB, 8,
+                                      numa::PlacementPolicy::kFillFirst);
+  check::InvariantChecker checker;  // destroyed (detached) before hv
+
+  CorruptRig() { v0().pcpu = 0; }  // not its boot PCPU: messages name pcpu 0
+
+  hv::Vcpu& v0() { return dom.vcpu(0); }
+  /// Put v0 on pcpu `p`'s queue in `state`.
+  void enqueue(int p, hv::VcpuState state) {
+    v0().state = state;
+    hv->pcpu(p).queue.insert(v0());
+  }
+  /// Make v0 current on pcpu `p` in `state`.
+  void make_current(int p, hv::VcpuState state) {
+    v0().state = state;
+    hv->pcpu(p).current = &v0();
+  }
+  /// The checker's view of a destroy that never happened: VM1's VCPUs are
+  /// retired, while their storage (and VM1's memory) stays alive.
+  void retire_dom() { checker.before_domain_destroy(*hv, dom); }
+};
+
+struct CorruptionRow {
+  const char* name;
+  void (*corrupt)(CorruptRig&);
+  const char* message;  ///< one reported violation starts with this
+};
+
+const CorruptionRow kCorruptions[] = {
+    {"occupancy bit set on an empty queue",
+     [](CorruptRig& r) {
+       r.enqueue(0, hv::VcpuState::kRunnable);
+       r.hv->pcpu(0).queue.bind_occupancy(r.detached, 0);
+       r.hv->pcpu(0).queue.remove(r.v0());
+       r.v0().state = hv::VcpuState::kBlocked;
+       r.checker.check_now();
+     },
+     "runqueue: pcpu 0's occupancy bit is set but its queue holds 0 VCPU(s)"},
+    {"blocked VCPU queued",
+     [](CorruptRig& r) {
+       r.enqueue(0, hv::VcpuState::kBlocked);
+       r.checker.check_now();
+     },
+     "runqueue: VM1.v0 (vcpu 0, state blocked, pcpu 0) is queued on pcpu 0 but "
+     "is not Runnable"},
+    {"queued on a pcpu it does not record",
+     [](CorruptRig& r) {
+       r.v0().pcpu = 1;
+       r.enqueue(0, hv::VcpuState::kRunnable);
+       r.checker.check_now();
+     },
+     "runqueue: VM1.v0 (vcpu 0, state runnable, pcpu 1) sits on pcpu 0's queue "
+     "but records pcpu 1"},
+    {"queued with in_runqueue clear",
+     [](CorruptRig& r) {
+       r.enqueue(0, hv::VcpuState::kRunnable);
+       r.v0().in_runqueue = false;
+       r.checker.check_now();
+     },
+     "runqueue: VM1.v0 (vcpu 0, state runnable, pcpu 0) is queued but "
+     "in_runqueue is false"},
+    {"queued outside the affinity mask",
+     [](CorruptRig& r) {
+       r.v0().pin_to(1);
+       r.enqueue(0, hv::VcpuState::kRunnable);
+       r.checker.check_now();
+     },
+     "runqueue: VM1.v0 (vcpu 0, state runnable, pcpu 0) is queued on pcpu 0 "
+     "outside its affinity mask"},
+    {"current on two pcpus",
+     [](CorruptRig& r) {
+       r.make_current(0, hv::VcpuState::kRunning);
+       r.hv->pcpu(1).current = &r.v0();
+       r.checker.check_now();
+     },
+     "runqueue: VM1.v0 (vcpu 0, state running, pcpu 0) is current on two PCPUs"},
+    {"current but blocked",
+     [](CorruptRig& r) {
+       r.make_current(0, hv::VcpuState::kBlocked);
+       r.checker.check_now();
+     },
+     "runqueue: VM1.v0 (vcpu 0, state blocked, pcpu 0) is current on pcpu 0 but "
+     "is not Running"},
+    {"running outside the affinity mask",
+     [](CorruptRig& r) {
+       r.v0().pin_to(1);
+       r.make_current(0, hv::VcpuState::kRunning);
+       r.checker.check_now();
+     },
+     "runqueue: VM1.v0 (vcpu 0, state running, pcpu 0) runs on pcpu 0 outside "
+     "its affinity mask"},
+    {"running, retargeted to no pcpu",
+     [](CorruptRig& r) {
+       r.make_current(0, hv::VcpuState::kRunning);
+       r.v0().pcpu = 99;
+       r.checker.check_now();
+     },
+     "runqueue: VM1.v0 (vcpu 0, state running, pcpu 99) running on pcpu 0 is "
+     "retargeted to invalid pcpu 99"},
+    {"queued on two pcpus",
+     [](CorruptRig& r) {
+       r.enqueue(0, hv::VcpuState::kRunnable);
+       r.v0().in_runqueue = false;  // lets insert() take it a second time
+       r.hv->pcpu(1).queue.insert(r.v0());
+       r.checker.check_now();
+     },
+     "runqueue: VM1.v0 (vcpu 0, state runnable, pcpu 0) appears on 2 run queues"},
+    {"runnable on no queue",
+     [](CorruptRig& r) {
+       r.v0().state = hv::VcpuState::kRunnable;
+       r.checker.check_now();
+     },
+     "runqueue: VM1.v0 (vcpu 0, state runnable, pcpu 0) is Runnable but on 0 run "
+     "queues"},
+    {"running on no pcpu",
+     [](CorruptRig& r) {
+       r.v0().state = hv::VcpuState::kRunning;
+       r.checker.check_now();
+     },
+     "runqueue: VM1.v0 (vcpu 0, state running, pcpu 0) is Running but is not "
+     "current on any pcpu"},
+    {"running and queued",
+     [](CorruptRig& r) {
+       r.enqueue(1, hv::VcpuState::kRunning);
+       r.hv->pcpu(0).current = &r.v0();
+       r.checker.check_now();
+     },
+     "runqueue: VM1.v0 (vcpu 0, state running, pcpu 0) is Running but also "
+     "queued"},
+    {"blocked on a queue",
+     [](CorruptRig& r) {
+       r.enqueue(0, hv::VcpuState::kBlocked);
+       r.checker.check_now();
+     },
+     "runqueue: VM1.v0 (vcpu 0, state blocked, pcpu 0) is blocked but sits on a "
+     "run queue"},
+    {"blocked with in_runqueue set",
+     [](CorruptRig& r) {
+       r.v0().in_runqueue = true;
+       r.checker.check_now();
+     },
+     "runqueue: VM1.v0 (vcpu 0, state blocked, pcpu 0) is blocked but "
+     "in_runqueue is true"},
+    {"retired VCPU queued",
+     [](CorruptRig& r) {
+       r.retire_dom();
+       r.enqueue(0, hv::VcpuState::kRunnable);
+       r.checker.check_now();
+     },
+     "teardown: pcpu 0's run queue holds a retired VCPU"},
+    {"retired VCPU running",
+     [](CorruptRig& r) {
+       r.retire_dom();
+       r.make_current(0, hv::VcpuState::kRunning);
+       r.checker.check_now();
+     },
+     "teardown: pcpu 0 is running a retired VCPU"},
+    {"destroy frees nothing",
+     [](CorruptRig& r) {
+       r.retire_dom();
+       r.checker.after_domain_destroy(*r.hv);
+     },
+     "teardown: node 0 freed 0 chunks on domain destroy but the domain homed 256 "
+     "there (freed bytes must return to their origin node)"},
+    {"event against a retired VCPU",
+     [](CorruptRig& r) {
+       r.retire_dom();
+       r.checker.after_domain_destroy(*r.hv);
+       r.hv->emit(trace::EventKind::kWake, r.v0().id(), 0);
+     },
+     "teardown: event wake fired against retired vcpu 0"},
+    {"accounting leaves credits above the cap",
+     [](CorruptRig& r) {
+       r.checker.before_accounting(*r.hv);
+       r.v0().credits = 400.0;
+       r.checker.after_accounting(*r.hv);
+     },
+     "credit: accounting left VM1.v0 (vcpu 0, state blocked, pcpu 0) with 400 "
+     "credits, outside [-300, 300]"},
+    {"accounting grants more than the machine burned",
+     [](CorruptRig& r) {
+       for (auto* v : test::domain_vcpus(r.dom)) v->credits = -300.0;
+       r.checker.before_accounting(*r.hv);
+       for (auto* v : test::domain_vcpus(r.dom)) v->credits = 300.0;
+       r.checker.after_accounting(*r.hv);
+     },
+     // 8 VCPUs x 600 granted; budget 100 credits/tick x 3 ticks x 8 PCPUs.
+     "credit: accounting granted 4800 credits, more than the machine budget 2400"},
+    {"OVER with credits",
+     [](CorruptRig& r) {
+       r.v0().priority = hv::CreditPrio::kOver;
+       r.v0().credits = 50.0;
+       r.checker.check_now();
+     },
+     "credit: VM1.v0 (vcpu 0, state blocked, pcpu 0) is OVER with 50 credits "
+     "(should be UNDER)"},
+    {"pool holds more than its capacity",
+     [](CorruptRig& r) {
+       numa::MemoryManager& mm = r.hv->memory_manager();
+       const std::int64_t free = mm.free_chunks(1);
+       numa::MemoryManagerFaults::set_free(mm, 1, mm.capacity_chunks(1) + 1);
+       r.checker.check_now();
+       numa::MemoryManagerFaults::set_free(mm, 1, free);  // VM1's teardown
+     },
+     "memory: node 1 pool corrupt (free 3073, used -1, capacity 3072) — leak or "
+     "double-free"},
+};
+
+TEST(CheckInjection, EveryRuleReportsItsMessage) {
+  for (const CorruptionRow& row : kCorruptions) {
+    CorruptRig rig;
+    rig.checker.attach(*rig.hv);
+    rig.checker.check_now();
+    ASSERT_TRUE(rig.checker.ok()) << row.name << ": the rig starts broken";
+    row.corrupt(rig);
+    const auto& found = rig.checker.violations();
+    const bool reported =
+        std::any_of(found.begin(), found.end(), [&](const check::Violation& v) {
+          return v.what.rfind(row.message, 0) == 0;
+        });
+    std::string all;
+    for (const auto& v : found) all += "\n  " + v.what;
+    EXPECT_TRUE(reported) << row.name << ": no violation starts with \""
+                          << row.message << "\"; got:" << all;
+  }
 }
 
 // ------------------------------------------------------ zero overhead ----

@@ -39,9 +39,8 @@ pmu::CounterSet window(double instr, double refs, double node0, double node1) {
 
 TEST(Analyzer, Equation2LlcPressure) {
   // 22.41 refs per 1000 instructions -> pressure 22.41 with alpha=1000.
-  EXPECT_NEAR(PmuDataAnalyzer::llc_pressure(window(1e9, 22.41e6, 0, 0), 1000.0),
-              22.41, 1e-9);
-  EXPECT_DOUBLE_EQ(PmuDataAnalyzer::llc_pressure(window(0, 100, 0, 0), 1000.0), 0.0);
+  EXPECT_NEAR(PmuDataAnalyzer::llc_pressure(window(1e9, 22.41e6, 0, 0)), 22.41, 1e-9);
+  EXPECT_DOUBLE_EQ(PmuDataAnalyzer::llc_pressure(window(0, 100, 0, 0)), 0.0);
 }
 
 TEST(Analyzer, Equation3Bounds) {
@@ -189,7 +188,7 @@ TEST_F(PartitionerTest, CostScalesWithWork) {
   for (std::size_t i = 0; i < 4; ++i) characterize(i, hv::VcpuType::kLlcThrashing, 0);
   for (std::size_t i = 4; i < 8; ++i) characterize(i, hv::VcpuType::kLlcFriendly, 0);
   const auto r = partitioner_.partition(*hv_);
-  EXPECT_GE(r.cost, partitioner_.costs().per_vcpu * r.reassigned);
+  EXPECT_GE(r.cost, PeriodicalPartitioner::kPerVcpuCost * r.reassigned);
   EXPECT_GE(r.cross_node_moves, 1);
 }
 
@@ -360,9 +359,9 @@ TEST(DynamicBoundsTest, RespectsEnvelopeAndGap) {
   cfg.smoothing = 1.0;
   DynamicBounds db(cfg);
   db.update(analyzer, {100.0, 200.0, 300.0});
-  EXPECT_LE(analyzer.config().low, cfg.max_low);
-  EXPECT_LE(analyzer.config().high, cfg.max_high);
-  EXPECT_GE(analyzer.config().high - analyzer.config().low, cfg.min_gap);
+  EXPECT_LE(analyzer.config().low, DynamicBounds::kMaxLow);
+  EXPECT_LE(analyzer.config().high, DynamicBounds::kMaxHigh);
+  EXPECT_GE(analyzer.config().high - analyzer.config().low, DynamicBounds::kMinGap);
 }
 
 }  // namespace

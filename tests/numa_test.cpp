@@ -431,7 +431,7 @@ TEST_F(VmMemoryTest, PageMigratorMovesTowardTarget) {
   const PageMigrator migrator(mcfg);
   const auto result = migrator.rebalance(vm, r, 1);
   EXPECT_EQ(result.chunks_moved, 16);
-  EXPECT_EQ(result.cost, mcfg.cost_per_chunk * 16);
+  EXPECT_EQ(result.cost, PageMigrator::kCostPerChunk * 16);
   EXPECT_NEAR(vm.node_fractions(r)[1], 16.0 / 64.0, 1e-9);
 }
 

@@ -25,7 +25,7 @@ TEST(CacheWarmth, CrossNodeMigrationFlushesEverything) {
   CacheWarmth w;
   w.on_migration(/*cross_node=*/true);
   EXPECT_DOUBLE_EQ(w.value(), 0.0);
-  EXPECT_DOUBLE_EQ(w.extra_miss_rate(), w.config().cold_miss_boost);
+  EXPECT_DOUBLE_EQ(w.extra_miss_rate(), CacheWarmth::kColdMissBoost);
 }
 
 TEST(CacheWarmth, SameNodeMigrationKeepsLlcShare) {
@@ -37,9 +37,9 @@ TEST(CacheWarmth, SameNodeMigrationKeepsLlcShare) {
 TEST(CacheWarmth, ExecutionWarmsBackUp) {
   CacheWarmth w;
   w.on_migration(true);
-  w.on_executed(w.config().refill_instructions);
+  w.on_executed(CacheWarmth::kRefillInstructions);
   EXPECT_NEAR(w.value(), 1.0 - std::exp(-1.0), 1e-6);
-  w.on_executed(w.config().refill_instructions * 10);
+  w.on_executed(CacheWarmth::kRefillInstructions * 10);
   EXPECT_GT(w.value(), 0.99);
 }
 

@@ -374,6 +374,34 @@ TEST(ScenarioFile, RejectsBrokenInput) {
           << churn << ": " << e.what();
     }
   }
+
+  // Malformed, fractional or out-of-range numbers fail on their own line
+  // and name the problem, instead of being truncated or cast out of range.
+  const struct {
+    const char* line;
+    const char* message;
+  } numbers[] = {
+      {"vm name=B mem=abc vcpus=2", "malformed number: abc"},
+      {"vm name=B mem=1G vcpus=2.7", "vcpus= must be a whole number"},
+      {"vm name=B mem=1G vcpus=1e12", "vcpus= must be a whole number"},
+      {"vm name=B mem=1G vcpus=2 host=-3e9", "host= must be a whole number"},
+      {"vm name=B mem=1e30 vcpus=2", "mem= must be a whole number"},
+      {"vm name=B mem=1G vcpus=2 alternate=2", "alternate= must be 0 or 1"},
+      {"app vm=A kind=spec profile=milc measure=0.5", "measure= must be 0 or 1"},
+      {"app vm=A kind=hungry count=1.5", "count= must be a whole number"},
+      {"churn max_live=2.5", "max_live= must be a whole number"},
+      {"openloop rps=1e3 requests=-1", "requests= must be a whole number"},
+  };
+  for (const auto& row : numbers) {
+    try {
+      parse_scenario(std::string("vm name=A mem=1G vcpus=2\n") + row.line + "\n");
+      ADD_FAILURE() << "accepted: " << row.line;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("scenario line 2: "), std::string::npos) << row.line << ": " << what;
+      EXPECT_NE(what.find(row.message), std::string::npos) << row.line << ": " << what;
+    }
+  }
 }
 
 TEST(ScenarioFile, ErrorsCarryLineNumbers) {

@@ -270,7 +270,7 @@ TEST(Redis, PairedWorkloadCompletes) {
   redis.start();
   hv->engine().run_until(sim::Time::sec(120));
   EXPECT_TRUE(redis.finished());
-  EXPECT_GE(redis.completed(), cfg.total_requests / cfg.pairs * cfg.pairs);
+  EXPECT_GE(redis.completed(), cfg.total_requests / RedisWorkload::kPairs * RedisWorkload::kPairs);
   EXPECT_GT(redis.throughput_rps(), 0.0);
 }
 
