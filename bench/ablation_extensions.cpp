@@ -29,13 +29,12 @@ stats::RunMetrics misplaced_run(const runner::RunConfig& cfg,
   hv->migrate_to_node(dom.vcpu(0), 1);
   wl::SpecApp app(*hv, dom, dom.vcpu(0), "milc", cfg.instr_scale);
 
-  numa::PageMigrator migrator;
   sim::EventHandle timer;
   if (migrate_pages) {
     timer = hv->engine().schedule_periodic(sim::Time::ms(100), [&] {
       const numa::NodeId node = hv->topology().node_of(dom.vcpu(0).pcpu);
       const numa::Region region{0, dom.memory().allocated_chunks()};
-      const auto result = migrator.rebalance(dom.memory(), region, node);
+      const auto result = numa::PageMigrator::rebalance(dom.memory(), region, node);
       // Migration is not free: charge its cost to the running PCPU.
       if (result.chunks_moved > 0) {
         hv->charge_overhead(hv::OverheadBucket::kBalancing, result.cost,

@@ -246,7 +246,7 @@ int Cluster::admit(VmSpec spec) {
     spaces.push_back(host_space(id));
     reqs.push_back({chunks_on(id, spec.mem_bytes), spec.vcpus});
   }
-  const int best = pick_host(spaces, reqs, config_.placement);
+  const int best = pick_host(spaces, reqs);
   if (best < 0) {
     ++rejected_;
     return -1;
@@ -337,7 +337,7 @@ bool Cluster::migrate(int vm_id, int dst_host) {
   }
   const PlacementRequest req{chunks_on(dst_host, vm->spec.mem_bytes),
                              vm->spec.vcpus};
-  if (!score_host(host_space(dst_host), req, config_.placement).feasible) {
+  if (!score_host(host_space(dst_host), req).feasible) {
     ++migrations_rejected_;
     return false;
   }

@@ -82,7 +82,6 @@ struct Config {
   /// Template for every host's hv config; machine/seed/host_id are
   /// overridden per host.
   hv::Hypervisor::Config host_template;
-  PlacementPolicyConfig placement;
   /// Cluster load-balancer period; zero disables it.
   sim::Time balance_period = sim::Time::zero();
   /// Balancer acts when (max - min) per-host load exceeds this, where load

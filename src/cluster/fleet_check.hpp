@@ -42,10 +42,6 @@ class FleetCheck {
   /// admit/destroy/migration transition.
   void on_transition(Cluster& cluster);
 
-  check::InvariantChecker& host_checker(int id) {
-    return *checkers_.at(static_cast<std::size_t>(id));
-  }
-
   bool ok() const;
   /// All violations: per-host checker findings, then cluster-level ones.
   std::vector<check::Violation> violations() const;

@@ -54,13 +54,12 @@ int desired_pieces(const HostSpace& host, const PlacementRequest& req) {
   return std::clamp(std::max({1, by_cpu, by_mem}), 1, nodes);
 }
 
-PlacementScore score_host(const HostSpace& host, const PlacementRequest& req,
-                          const PlacementPolicyConfig& cfg) {
+PlacementScore score_host(const HostSpace& host, const PlacementRequest& req) {
   PlacementScore score;
   const std::int64_t total_free = host.total_free();
   const std::int64_t total_cap = host.total_capacity();
   const double cpu_cap =
-      static_cast<double>(host.total_pcpus) * cfg.cpu_overcommit;
+      static_cast<double>(host.total_pcpus) * kCpuOvercommit;
   if (req.chunks > total_free) return score;
   if (static_cast<double>(host.live_vcpus + req.vcpus) > cpu_cap) return score;
   score.feasible = true;
@@ -82,15 +81,14 @@ PlacementScore score_host(const HostSpace& host, const PlacementRequest& req,
 }
 
 int pick_host(std::span<const HostSpace> hosts,
-              std::span<const PlacementRequest> reqs,
-              const PlacementPolicyConfig& cfg) {
+              std::span<const PlacementRequest> reqs) {
   if (reqs.size() != hosts.size()) {
     throw std::invalid_argument("pick_host: one request per host is required");
   }
   int best = -1;
   PlacementScore best_score;
   for (std::size_t i = 0; i < hosts.size(); ++i) {
-    const PlacementScore s = score_host(hosts[i], reqs[i], cfg);
+    const PlacementScore s = score_host(hosts[i], reqs[i]);
     if (!s.feasible) continue;
     const bool better =
         best < 0 || (s.shape_fit && !best_score.shape_fit) ||

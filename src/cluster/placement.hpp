@@ -40,12 +40,10 @@ struct HostSpace {
   std::int64_t total_capacity() const;
 };
 
-struct PlacementPolicyConfig {
-  /// Admission cap on live VCPUs per host, as a multiple of PCPUs.  The
-  /// simulated fleets routinely oversubscribe 1.5-3x; 8x is the refuse-to-
-  /// thrash backstop, not a performance target.
-  double cpu_overcommit = 8.0;
-};
+/// Admission cap on live VCPUs per host, as a multiple of PCPUs.  The
+/// simulated fleets routinely oversubscribe 1.5-3x; 8x is the refuse-to-
+/// thrash backstop, not a performance target.
+constexpr double kCpuOvercommit = 8.0;
 
 /// Gudkov-style shape test: can `pieces` pieces of `per_piece` chunks land
 /// on `pieces` distinct nodes of this free vector?
@@ -63,15 +61,13 @@ struct PlacementScore {
   double headroom = 0.0;   ///< mean of post-placement memory/CPU headroom
 };
 
-PlacementScore score_host(const HostSpace& host, const PlacementRequest& req,
-                          const PlacementPolicyConfig& cfg);
+PlacementScore score_host(const HostSpace& host, const PlacementRequest& req);
 
 /// Best host for a VM, or -1 when none is feasible.  `reqs[i]` is the VM
 /// sized in `hosts[i]`'s units (chunk size is a host property).  Ranking:
 /// shape-fit before overflow-fit, then max headroom (worst-fit), then
 /// lowest host id — fully deterministic.  Cluster::admit places with this.
 int pick_host(std::span<const HostSpace> hosts,
-              std::span<const PlacementRequest> reqs,
-              const PlacementPolicyConfig& cfg);
+              std::span<const PlacementRequest> reqs);
 
 }  // namespace vprobe::cluster

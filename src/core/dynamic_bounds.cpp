@@ -25,8 +25,8 @@ void DynamicBounds::update(PmuDataAnalyzer& analyzer,
   const double q_high = quantile(pressures, 2.0 / 3.0);
 
   auto& cfg = analyzer.config();
-  cfg.low += cfg_.smoothing * (q_low - cfg.low);
-  cfg.high += cfg_.smoothing * (q_high - cfg.high);
+  cfg.low += kSmoothing * (q_low - cfg.low);
+  cfg.high += kSmoothing * (q_high - cfg.high);
 
   cfg.low = std::clamp(cfg.low, kMinLow, kMaxLow);
   cfg.high = std::clamp(cfg.high, kMinHigh, kMaxHigh);

@@ -22,20 +22,11 @@ class DynamicBounds {
   static constexpr double kMinHigh = 10.0;  ///< envelope for the high bound
   static constexpr double kMaxHigh = 40.0;
   static constexpr double kMinGap = 4.0;    ///< enforced separation low..high
-
-  struct Config {
-    double smoothing = 0.3;  ///< weight of the new quantile per period
-  };
-
-  DynamicBounds() = default;
-  explicit DynamicBounds(Config cfg) : cfg_(cfg) {}
+  static constexpr double kSmoothing = 0.3;  ///< weight of the new quantile per period
 
   /// Update `analyzer`'s bounds from this period's pressures (one entry per
   /// VCPU that ran).  Empty input leaves the bounds untouched.
-  void update(PmuDataAnalyzer& analyzer, std::vector<double> pressures);
-
- private:
-  Config cfg_{};
+  static void update(PmuDataAnalyzer& analyzer, std::vector<double> pressures);
 };
 
 }  // namespace vprobe::core

@@ -1,10 +1,12 @@
 #include "core/page_policy.hpp"
 
+#include "numa/page_migration.hpp"
+
 namespace vprobe::core {
 
 PagePolicy::Result PagePolicy::run(hv::Hypervisor& hv) const {
   Result result;
-  int budget = options_.machine_budget_per_period;
+  int budget = kMachineBudgetPerPeriod;
   for (hv::Vcpu* v : hv.all_vcpus()) {
     if (budget <= 0) break;
     if (!v->active()) continue;
@@ -18,7 +20,7 @@ PagePolicy::Result PagePolicy::run(hv::Hypervisor& hv) const {
     const numa::NodeId home = hv.topology().node_of(v->pcpu);
     for (const numa::Region& region : entry->regions) {
       if (budget <= 0) break;
-      auto moved = migrator_.rebalance(*entry->memory, region, home);
+      auto moved = numa::PageMigrator::rebalance(*entry->memory, region, home);
       // Respect the machine-wide budget even when the migrator's own
       // per-round cap is larger.
       if (moved.chunks_moved > budget) {

@@ -11,18 +11,17 @@
 #pragma once
 
 #include "hv/hypervisor.hpp"
-#include "numa/page_migration.hpp"
 
 namespace vprobe::core {
 
 class PagePolicy {
  public:
+  /// Cap on chunks moved per period across the whole machine.
+  static constexpr int kMachineBudgetPerPeriod = 64;
+
   struct Options {
-    numa::PageMigrator::Config migrator;
     /// Only memory-intensive VCPUs are worth moving data for.
     bool memory_intensive_only = true;
-    /// Cap on chunks moved per period across the whole machine.
-    int machine_budget_per_period = 64;
   };
 
   struct Result {
@@ -32,17 +31,13 @@ class PagePolicy {
   };
 
   PagePolicy() = default;
-  explicit PagePolicy(Options options)
-      : options_(options), migrator_(options.migrator) {}
+  explicit PagePolicy(Options options) : options_(options) {}
 
   /// Run one rebalancing pass.  The caller charges `Result::cost`.
   Result run(hv::Hypervisor& hv) const;
 
-  const Options& options() const { return options_; }
-
  private:
   Options options_{};
-  numa::PageMigrator migrator_{};
 };
 
 }  // namespace vprobe::core

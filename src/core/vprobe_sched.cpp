@@ -61,7 +61,7 @@ void VprobeScheduler::on_sampling_period() {
                        kPmuReadCost * analyzed, &hv_->pcpu(0));
 
   if (options_.dynamic_bounds) {
-    dynamic_bounds_.update(analyzer_, std::move(pressures));
+    DynamicBounds::update(analyzer_, std::move(pressures));
   }
 
   // (b) VCPU periodical partitioning (Algorithm 1).

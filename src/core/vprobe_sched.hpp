@@ -62,7 +62,6 @@ class VprobeScheduler : public hv::CreditScheduler {
  private:
   PeriodicalPartitioner partitioner_{};
   NumaAwareBalancer balancer_{};
-  DynamicBounds dynamic_bounds_{};
   PagePolicy page_policy_{};
   std::unique_ptr<pmu::Sampler> sampler_;
   std::uint64_t partition_rounds_ = 0;

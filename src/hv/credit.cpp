@@ -80,8 +80,7 @@ Decision CreditScheduler::do_schedule(Pcpu& pcpu) {
   if (next == nullptr && head != nullptr) {
     next = pcpu.queue.pop_front();
   }
-  if (next == nullptr) return {};
-  return Decision{next, hv_->config().slice};
+  return Decision{next};
 }
 
 void CreditScheduler::tick(Pcpu& pcpu) {

@@ -7,6 +7,10 @@
 namespace vprobe::hv {
 namespace {
 
+/// Xen 4.0.1 Credit timeslice: every scheduler runs its pick for one slice.
+constexpr sim::Time kSlice = sim::Time::ms(30);
+/// Direct cost of one context switch, charged to the switching PCPU.
+constexpr sim::Time kContextSwitchCost = sim::Time::us(2);
 /// Perfctr-Xen counter save/restore cost, charged per context switch
 /// (Section IV-B: counters are updated before each VCPU switch).
 constexpr sim::Time kPmuSaveRestoreCost = sim::Time::ns(400);
@@ -457,10 +461,10 @@ void Hypervisor::schedule_pcpu(Pcpu& p) {
   }
   assert(d.vcpu->state == VcpuState::kRunnable);
   assert(!d.vcpu->in_runqueue);
-  start_running(p, *d.vcpu, d.slice > sim::Time::zero() ? d.slice : config_.slice);
+  start_running(p, *d.vcpu);
 }
 
-void Hypervisor::start_running(Pcpu& p, Vcpu& v, sim::Time slice) {
+void Hypervisor::start_running(Pcpu& p, Vcpu& v) {
   // Migration bookkeeping: compare against where the VCPU last *ran*.
   if (v.last_ran_pcpu != numa::kInvalidPcpu && v.last_ran_pcpu != p.id) {
     const bool cross = topology_.node_of(v.last_ran_pcpu) != p.node;
@@ -475,12 +479,12 @@ void Hypervisor::start_running(Pcpu& p, Vcpu& v, sim::Time slice) {
   v.state = VcpuState::kRunning;
   p.current = &v;
   ++p.context_switches;
-  charge_overhead(OverheadBucket::kContextSwitch, config_.context_switch_cost, &p);
+  charge_overhead(OverheadBucket::kContextSwitch, kContextSwitchCost, &p);
   // Perfctr-Xen: a running VCPU's counters are saved/restored around each
   // context switch (Section IV-B).
   v.pmu.record_save_restore();
   charge_overhead(OverheadBucket::kPmuCollection, kPmuSaveRestoreCost, &p);
-  p.slice_end = engine_.now() + slice;
+  p.slice_end = engine_.now() + kSlice;
   start_segment(p);
 }
 
@@ -489,39 +493,14 @@ void Hypervisor::start_segment(Pcpu& p) {
   assert(v.work() != nullptr && "VCPU scheduled without bound work");
   const sim::Time now = engine_.now();
 
-  // Unchanged-burst reuse: when the same VCPU's workload reports that
-  // next_burst() would hand back exactly the plan it produced last time
-  // (side-effect-free workloads only — jitter draws and first-touch must
-  // decline) and the VM's page placement has not moved since (guards
-  // page migration mid-burst), the call and the node-fraction re-copy are
-  // skipped outright; p.burst and p.frac_copy already hold the plan.
-  // burst_unchanged() only ties the next call to the thread's *latest*
-  // plan, so the sequence compare is load-bearing: a VCPU that produced a
-  // newer plan on another PCPU (then left it via a zero-instruction
-  // segment, keeping its progress counters bit-equal) must not be served
-  // this PCPU's older copy on return.
-  const bool reuse_burst =
-      config_.rate_cache && p.burst_vcpu == v.id() &&
-      p.burst_seq == v.burst_seq &&
-      p.burst_placement_version == v.domain()->memory().placement_version() &&
-      v.work()->burst_unchanged(now);
-  if (!reuse_burst) {
-    ++v.burst_seq;  // the hypervisor owns the only next_burst() call site
-    BurstPlan plan = v.work()->next_burst(now);
-    // Stabilise the node-fraction span: copy into the PCPU-owned buffer so
-    // placement changes mid-segment cannot invalidate it.
-    p.frac_copy.fill(0.0);
-    const auto& frac = plan.profile.node_fractions;
-    const std::size_t n =
-        std::min(frac.size(), p.frac_copy.size());
-    std::copy_n(frac.begin(), n, p.frac_copy.begin());
-    plan.profile.node_fractions =
-        std::span<const double>(p.frac_copy.data(), p.frac_copy.size());
-    p.burst = plan;
-    p.burst_vcpu = v.id();
-    p.burst_seq = v.burst_seq;
-    p.burst_placement_version = v.domain()->memory().placement_version();
-  }
+  p.burst = v.work()->next_burst(now);
+  // Stabilise the node-fraction span: copy into the PCPU-owned buffer so
+  // placement changes mid-segment cannot invalidate it.
+  p.frac_copy.fill(0.0);
+  auto& frac = p.burst.profile.node_fractions;
+  std::copy_n(frac.begin(), std::min(frac.size(), p.frac_copy.size()),
+              p.frac_copy.begin());
+  frac = std::span<const double>(p.frac_copy.data(), p.frac_copy.size());
   const BurstPlan& plan = p.burst;
 
   machine_state_.occupant_in(p.node, static_cast<std::uint64_t>(v.id()),

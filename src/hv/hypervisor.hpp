@@ -45,12 +45,10 @@ class Hypervisor {
 
   struct Config {
     numa::MachineConfig machine = numa::MachineConfig::xeon_e5620();
-    sim::Time slice = sim::Time::ms(30);              ///< Credit timeslice
-    sim::Time context_switch_cost = sim::Time::us(2);
     std::uint64_t seed = 1;
-    /// The slice-clamp fast path and the unchanged-burst reuse in
-    /// start_segment, and the tracker decay-factor memos.  Every reuse path
-    /// is bit-identical by construction; `false` (the --no-rate-cache escape
+    /// The slice clamp and decay memos: the slice-clamp fast path in
+    /// start_segment and the tracker decay-factor memos.  Both are
+    /// bit-identical by construction; `false` (the --no-rate-cache escape
     /// hatch) recomputes everything so differential tests can prove it.
     bool rate_cache = true;
     /// Which machine of a fleet this is (cluster runs); purely a label for
@@ -209,7 +207,7 @@ class Hypervisor {
              sim::Engine* shared);
 
   void schedule_pcpu(Pcpu& pcpu);
-  void start_running(Pcpu& pcpu, Vcpu& vcpu, sim::Time slice);
+  void start_running(Pcpu& pcpu, Vcpu& vcpu);
   void start_segment(Pcpu& pcpu);
   void end_segment(Pcpu& pcpu, bool force_requeue);
   /// Shared tail of a segment: cancel the timer, convert elapsed wall time

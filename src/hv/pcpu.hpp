@@ -35,15 +35,6 @@ struct Pcpu {
   /// Stable copy of the burst's node fractions (the plan's span may point at
   /// a VmMemory cache that placement changes would invalidate mid-segment).
   std::array<double, 8> frac_copy{};
-  /// Who filled `burst`/`frac_copy`, and at which VmMemory placement
-  /// version — the guards for the unchanged-burst reuse in start_segment
-  /// (global VCPU ids are never reused, so the id compare is sound).
-  int burst_vcpu = -1;
-  std::uint64_t burst_placement_version = 0;
-  /// Vcpu::burst_seq at the time `burst` was filled.  Ties this PCPU's
-  /// cached copy to the thread's latest plan: a VCPU that produced a newer
-  /// plan elsewhere and came back must not be served the stale one here.
-  std::uint64_t burst_seq = 0;
   /// Hypervisor time (PMU collection, partitioning, ...) charged to this
   /// PCPU; subtracted from the next segment's useful execution time.
   sim::Time pending_stall;

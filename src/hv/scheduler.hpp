@@ -10,16 +10,14 @@
 
 #include "hv/pcpu.hpp"
 #include "hv/vcpu.hpp"
-#include "sim/time.hpp"
 
 namespace vprobe::hv {
 
 class Hypervisor;
 
-/// What do_schedule() decided: which VCPU to run and for how long.
+/// What do_schedule() decided: which VCPU to run (for one Credit slice).
 struct Decision {
   Vcpu* vcpu = nullptr;
-  sim::Time slice = sim::Time::zero();
 };
 
 class Scheduler {

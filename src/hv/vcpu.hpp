@@ -97,13 +97,6 @@ class Vcpu {
   bool credit_active = false;
   /// A wake arrived while the VCPU was paused; replayed on resume.
   bool wake_pending = false;
-  /// Monotone count of next_burst() calls issued for this VCPU, bumped by
-  /// the hypervisor at its single call site (start_segment).  A PCPU's
-  /// cached burst plan is the thread's *latest* plan only while the
-  /// sequence it recorded still matches: burst_unchanged() alone proves
-  /// next_burst() would repeat the most recent plan, which says nothing
-  /// about an older plan cached on a PCPU the VCPU has since left.
-  std::uint64_t burst_seq = 0;
   /// The pending timed-wake event from a kBlockTimed outcome.  Retirement
   /// cancels it so no event ever fires against a dead VCPU (generation
   /// handles make the cancel safe even after the event fired).

@@ -41,13 +41,6 @@ class VcpuWork {
   /// Only called while the thread has runnable work.
   virtual BurstPlan next_burst(sim::Time now) = 0;
 
-  /// True only when next_burst(now) would return exactly the plan it last
-  /// returned AND skipping the call loses no side effect (no RNG draw whose
-  /// stream position is observable, no first-touch placement).  Lets the
-  /// hypervisor reuse the previous plan bit-identically; the conservative
-  /// default never claims it.
-  virtual bool burst_unchanged(sim::Time /*now*/) { return false; }
-
   /// Consume `instructions` of the current burst (may be less than the
   /// burst's total when the slice expired) and report what happens next.
   virtual Outcome advance(double instructions, sim::Time now) = 0;

@@ -40,26 +40,22 @@ class MemController {
   /// Latency multiplier applied to DRAM accesses served by this controller.
   /// Defined here so the cost model's per-segment evaluations inline it.
   double latency_factor(sim::Time now) const {
-    const double rho = std::min(utilization(now), rho_max_);
+    const double rho = std::min(utilization(now), kRhoMax);
     const double factor = 1.0 / (1.0 - rho);
-    return std::min(factor, max_factor_);
+    return std::min(factor, kMaxFactor);
   }
 
   double bandwidth_bytes_per_s() const { return bandwidth_; }
   double total_bytes() const { return total_bytes_; }
 
-  /// Tuning knobs (fixed defaults work for all experiments).
-  void set_limits(double rho_max, double max_factor) {
-    rho_max_ = rho_max;
-    max_factor_ = max_factor;
-  }
-
   void set_decay_cache(bool enabled) { tracker_.set_decay_cache(enabled); }
 
  private:
+  /// Utilisation cap and latency-multiplier ceiling of the queueing curve.
+  static constexpr double kRhoMax = 0.95;
+  static constexpr double kMaxFactor = 8.0;
+
   double bandwidth_;
-  double rho_max_ = 0.95;
-  double max_factor_ = 8.0;
   RateTracker tracker_;
   double total_bytes_ = 0.0;
 };

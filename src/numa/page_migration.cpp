@@ -11,7 +11,7 @@ constexpr double kSatisfactionThreshold = 0.90;
 
 PageMigrator::Result PageMigrator::rebalance(VmMemory& memory,
                                              const Region& region,
-                                             NodeId target) const {
+                                             NodeId target) {
   Result result;
   if (region.empty()) return result;
   const auto& fractions = memory.node_fractions(region);
@@ -23,7 +23,7 @@ PageMigrator::Result PageMigrator::rebalance(VmMemory& memory,
   }
   for (std::int64_t c = region.first_chunk;
        c < region.first_chunk + region.num_chunks &&
-       result.chunks_moved < cfg_.max_chunks_per_round;
+       result.chunks_moved < kMaxChunksPerRound;
        ++c) {
     const NodeId home = memory.chunk_home(c);
     if (home == kInvalidNode || home == target) continue;

@@ -20,26 +20,17 @@ class PageMigrator {
   /// Cost of moving one chunk.  4 MiB over ~10 GB/s plus TLB shootdowns
   /// lands in the few-hundred-microsecond range.
   static constexpr sim::Time kCostPerChunk = sim::Time::us(400);
-
-  struct Config {
-    /// Upper bound on chunks moved per rebalance() call (rate limiting).
-    int max_chunks_per_round = 16;
-  };
+  /// Upper bound on chunks moved per rebalance() call (rate limiting).
+  static constexpr int kMaxChunksPerRound = 16;
 
   struct Result {
     int chunks_moved = 0;
     sim::Time cost = sim::Time::zero();
   };
 
-  PageMigrator() = default;
-  explicit PageMigrator(Config cfg) : cfg_(cfg) {}
-
-  /// Move up to max_chunks_per_round chunks of `region` onto `target`.
+  /// Move up to kMaxChunksPerRound chunks of `region` onto `target`.
   /// Chunks are scanned in address order; homeless chunks are skipped.
-  Result rebalance(VmMemory& memory, const Region& region, NodeId target) const;
-
- private:
-  Config cfg_{};
+  static Result rebalance(VmMemory& memory, const Region& region, NodeId target);
 };
 
 }  // namespace vprobe::numa

@@ -193,10 +193,10 @@ bool maybe_print_help(const Cli& cli, const char* summary, const char* extra) {
         "  --json PATH      also write results as JSON lines to PATH (- = stdout)\n"
         "  --checks         run the invariant checker on every simulation and\n"
         "                   abort on any violation\n"
-        "  --no-rate-cache  disable the segment-path reuse: slice clamp, burst\n"
-        "                   reuse, decay memos (results are bit-identical\n"
-        "                   either way; this is the escape hatch differential\n"
-        "                   tests use to prove it)\n"
+        "  --no-rate-cache  disable the segment-path reuse: slice clamp and\n"
+        "                   decay memos (results are bit-identical either\n"
+        "                   way; this is the escape hatch differential tests\n"
+        "                   use to prove it)\n"
         "  --help           this text\n");
   }
   if (extra != nullptr && *extra != '\0') {

@@ -23,8 +23,8 @@ struct RunConfig {
   sim::Time sampling_period = sim::Time::sec(1);
   sim::Time horizon = sim::Time::sec(3600);
   bool dynamic_bounds = false;
-  /// Bit-identical reuse in the hypervisor's segment path (slice clamp,
-  /// burst reuse, decay memos); --no-rate-cache clears it.
+  /// Bit-identical reuse in the hypervisor's segment path (the slice clamp
+  /// and decay memos); --no-rate-cache clears it.
   bool rate_cache = true;
   /// Use Figure 1's VM memory sizes (VM1/VM2 8 GB, VM3 2 GB) instead of the
   /// Section V-A defaults (15/5/1 GB).

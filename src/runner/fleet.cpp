@@ -83,15 +83,14 @@ cluster::SchedulerFactory scheduler_factory(SchedKind kind,
 }
 
 bool run_cluster_until(cluster::Cluster& cluster,
-                       const std::function<bool()>& done, sim::Time horizon,
-                       sim::Time step) {
+                       const std::function<bool()>& done, sim::Time horizon) {
   // Cluster::run_until dispatches per mode: the shared engine directly
   // when serial, the conservative-window synchronizer when sharded.  The
   // done() poll always runs between windows, with worker threads
   // quiescent, so it may read any host state.
   while (cluster.now() < horizon) {
     if (done && done()) return true;
-    cluster.run_until(std::min(cluster.now() + step, horizon));
+    cluster.run_until(std::min(cluster.now() + kPollStep, horizon));
   }
   return done ? done() : true;
 }

@@ -44,12 +44,12 @@ double ticker_dirty_rate(std::int64_t mem_bytes);
 cluster::SchedulerFactory scheduler_factory(SchedKind kind,
                                             SchedulerOptions options = {});
 
-/// Drive the cluster until `done()` or `horizon`, checking every `step`;
-/// a null `done` runs straight to the horizon.  Returns true when `done()`
-/// became true in time (or on horizon for a null `done`).  Serial and
-/// sharded (PDES) fleets run through the same loop via Cluster::run_until.
+/// Drive the cluster until `done()` or `horizon`, checking every
+/// kPollStep; a null `done` runs straight to the horizon.  Returns true when
+/// `done()` became true in time (or on horizon for a null `done`).  Serial
+/// and sharded (PDES) fleets run through the same loop via
+/// Cluster::run_until.
 bool run_cluster_until(cluster::Cluster& cluster,
-                       const std::function<bool()>& done, sim::Time horizon,
-                       sim::Time step = sim::Time::ms(100));
+                       const std::function<bool()>& done, sim::Time horizon);
 
 }  // namespace vprobe::runner

@@ -158,11 +158,11 @@ std::vector<hv::Vcpu*> domain_vcpus(hv::Domain& domain) {
 }
 
 bool run_until(hv::Hypervisor& hv, const std::function<bool()>& done,
-               sim::Time horizon, sim::Time step) {
+               sim::Time horizon) {
   auto& engine = hv.engine();
   while (engine.now() < horizon) {
     if (done()) return true;
-    engine.run_until(std::min(engine.now() + step, horizon));
+    engine.run_until(std::min(engine.now() + kPollStep, horizon));
   }
   return done();
 }

@@ -40,7 +40,7 @@ std::span<const SchedKind> all_schedulers();
 struct SchedulerOptions {
   sim::Time sampling_period = sim::Time::sec(1);
   bool dynamic_bounds = false;  ///< future-work extension (vProbe family)
-  /// Bit-identical reuse in the segment path (Hypervisor::Config::rate_cache,
+  /// The slice clamp and decay memos (Hypervisor::Config::rate_cache,
   /// docs/PERF.md).  false = the --no-rate-cache escape hatch: recompute
   /// everything.
   bool rate_cache = true;
@@ -86,9 +86,12 @@ StandardVms create_standard_vms(hv::Hypervisor& hv, VmSizes sizes = {});
 /// All VCPUs of a domain, in index order.
 std::vector<hv::Vcpu*> domain_vcpus(hv::Domain& domain);
 
-/// Drive the engine until `done()` or `horizon`; checks every `step`.
+/// How often run_until and run_cluster_until poll `done()`.
+constexpr sim::Time kPollStep = sim::Time::ms(100);
+
+/// Drive the engine until `done()` or `horizon`; checks every kPollStep.
 /// Returns true when `done()` became true in time.
 bool run_until(hv::Hypervisor& hv, const std::function<bool()>& done,
-               sim::Time horizon, sim::Time step = sim::Time::ms(100));
+               sim::Time horizon);
 
 }  // namespace vprobe::runner

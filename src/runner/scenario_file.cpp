@@ -62,18 +62,32 @@ double number(const std::string& v, int line) {
   }
 }
 
-/// An integer key: a whole number that fits T (a plain cast would truncate
-/// a fraction and is undefined out of range).
+/// An integer value: a whole number that fits T (a plain cast would
+/// truncate a fraction and is undefined out of range).  `what` names it in
+/// the error ("vcpus=", "seed").
 template <typename T>
-T whole(const std::string& key, const std::string& v, int line) {
+T whole(const std::string& what, const std::string& v, int line) {
   const double x = number(v, line);
-  // T's range is [min, 2^digits): both bounds are exact doubles.
-  const double lo = static_cast<double>(std::numeric_limits<T>::min());
-  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  // Within [-2^bits, 2^bits), bits = min(T's digits, 53): both bounds are
+  // exact doubles, the range fits T, and every whole number in it is a
+  // double, so no larger value is silently rounded to a neighbour.
+  const int bits = std::min(std::numeric_limits<T>::digits,
+                            std::numeric_limits<double>::digits);
+  const double hi = std::ldexp(1.0, bits);
+  const double lo = std::numeric_limits<T>::is_signed ? -hi : 0.0;
   if (!(x == std::floor(x) && x >= lo && x < hi)) {
-    throw err(line, key + "= must be a whole number in range, got " + v);
+    throw err(line, what + " must be a whole number in range, got " + v);
   }
   return static_cast<T>(x);
+}
+
+/// A positive, finite number.
+double positive(const std::string& what, const std::string& v, int line) {
+  const double x = number(v, line);
+  if (!(x > 0.0 && std::isfinite(x))) {
+    throw err(line, what + " must be a positive number, got " + v);
+  }
+  return x;
 }
 
 /// A 0/1 switch.
@@ -81,6 +95,17 @@ bool flag(const std::string& key, const std::string& v, int line) {
   const double x = number(v, line);
   if (x != 0.0 && x != 1.0) throw err(line, key + "= must be 0 or 1, got " + v);
   return x == 1.0;
+}
+
+/// The single argument of a directive line.
+std::string only_arg(std::istringstream& words, const std::string& head, int line) {
+  std::string arg;
+  std::string extra;
+  if (!(words >> arg)) throw err(line, head + " needs an argument");
+  if (words >> extra) {
+    throw err(line, head + " takes one argument, got extra '" + extra + "'");
+  }
+  return arg;
 }
 
 /// Split remaining words into key=value pairs.
@@ -111,7 +136,7 @@ ScenarioSpec parse_scenario(std::string_view text) {
     if (!(words >> head)) continue;
 
     if (head == "machine") {
-      if (!(words >> spec.machine)) throw err(line_no, "machine needs a name");
+      spec.machine = only_arg(words, head, line_no);
       if (!valid_machine_name(spec.machine)) {
         throw err(line_no, "unknown machine '" + spec.machine +
                                "' (valid: " + std::string(kValidMachines) + ")");
@@ -124,11 +149,7 @@ ScenarioSpec parse_scenario(std::string_view text) {
         const auto star = token.find('*');
         machine.kind = token.substr(0, star);
         if (star != std::string::npos) {
-          try {
-            machine.count = std::stoi(token.substr(star + 1));
-          } catch (const std::exception&) {
-            throw err(line_no, "bad machine count in '" + token + "'");
-          }
+          machine.count = whole<int>("machines count", token.substr(star + 1), line_no);
         }
         if (!valid_machine_name(machine.kind)) {
           throw err(line_no, "unknown machine '" + machine.kind +
@@ -143,34 +164,32 @@ ScenarioSpec parse_scenario(std::string_view text) {
         throw err(line_no, "machines needs at least one name[*count]");
       }
     } else if (head == "scheduler") {
-      std::string name;
-      if (!(words >> name)) throw err(line_no, "scheduler needs a name");
-      spec.sched = parse_sched(name, line_no);
+      spec.sched = parse_sched(only_arg(words, head, line_no), line_no);
     } else if (head == "seed") {
-      if (!(words >> spec.seed)) throw err(line_no, "seed needs a number");
+      spec.seed = whole<std::uint64_t>(head, only_arg(words, head, line_no), line_no);
     } else if (head == "scale") {
-      if (!(words >> spec.scale) || spec.scale <= 0) throw err(line_no, "bad scale");
+      spec.scale = positive(head, only_arg(words, head, line_no), line_no);
     } else if (head == "horizon") {
-      if (!(words >> spec.horizon_s) || spec.horizon_s <= 0) throw err(line_no, "bad horizon");
+      spec.horizon_s = positive(head, only_arg(words, head, line_no), line_no);
     } else if (head == "sampling") {
-      if (!(words >> spec.sampling_s) || spec.sampling_s <= 0) throw err(line_no, "bad sampling");
+      spec.sampling_s = positive(head, only_arg(words, head, line_no), line_no);
     } else if (head == "vm") {
       ScenarioSpec::VmSpec vm;
       for (const auto& [k, v] : keyvals(words, line_no)) {
         if (k == "name") {
           vm.name = v;
         } else if (k == "mem") {
-          vm.mem_bytes = whole<std::int64_t>("mem", v, line_no);
+          vm.mem_bytes = whole<std::int64_t>("mem=", v, line_no);
         } else if (k == "vcpus") {
-          vm.vcpus = whole<int>("vcpus", v, line_no);
+          vm.vcpus = whole<int>("vcpus=", v, line_no);
         } else if (k == "policy") {
           vm.policy = parse_policy(v, line_no);
         } else if (k == "preferred") {
-          vm.preferred = whole<int>("preferred", v, line_no);
+          vm.preferred = whole<int>("preferred=", v, line_no);
         } else if (k == "alternate") {
           vm.alternate = flag("alternate", v, line_no);
         } else if (k == "host") {
-          vm.host = whole<int>("host", v, line_no);
+          vm.host = whole<int>("host=", v, line_no);
           if (vm.host < 0) throw err(line_no, "vm host= must be >= 0");
         } else {
           throw err(line_no, "unknown vm field '" + k + "'");
@@ -193,17 +212,17 @@ ScenarioSpec parse_scenario(std::string_view text) {
         } else if (k == "profile") {
           app.profile = v;
         } else if (k == "count") {
-          app.count = whole<int>("count", v, line_no);
+          app.count = whole<int>("count=", v, line_no);
         } else if (k == "threads") {
-          app.threads = whole<int>("threads", v, line_no);
+          app.threads = whole<int>("threads=", v, line_no);
         } else if (k == "from") {
-          app.from = whole<int>("from", v, line_no);
+          app.from = whole<int>("from=", v, line_no);
         } else if (k == "measure") {
           app.measure = flag("measure", v, line_no);
         } else if (k == "instr") {
           app.instr = number(v, line_no);
         } else if (k == "batch") {
-          app.batch = whole<int>("batch", v, line_no);
+          app.batch = whole<int>("batch=", v, line_no);
         } else {
           throw err(line_no, "unknown app field '" + k + "'");
         }
@@ -235,7 +254,7 @@ ScenarioSpec parse_scenario(std::string_view text) {
       spec.churn.seed = 0;  // 0 = derive from the scenario seed at run time
       for (const auto& [k, v] : keyvals(words, line_no)) {
         if (k == "seed") {
-          spec.churn.seed = whole<std::uint64_t>("seed", v, line_no);
+          spec.churn.seed = whole<std::uint64_t>("seed=", v, line_no);
         } else if (k == "start") {
           spec.churn.start_after = sim::Time::seconds(number(v, line_no));
         } else if (k == "interarrival") {
@@ -247,17 +266,17 @@ ScenarioSpec parse_scenario(std::string_view text) {
         } else if (k == "pause") {
           spec.churn.mean_pause = sim::Time::seconds(number(v, line_no));
         } else if (k == "max_arrivals") {
-          spec.churn.max_arrivals = whole<int>("max_arrivals", v, line_no);
+          spec.churn.max_arrivals = whole<int>("max_arrivals=", v, line_no);
         } else if (k == "max_live") {
-          spec.churn.max_live = whole<int>("max_live", v, line_no);
+          spec.churn.max_live = whole<int>("max_live=", v, line_no);
         } else if (k == "vcpus_min") {
-          spec.churn.min_vcpus = whole<int>("vcpus_min", v, line_no);
+          spec.churn.min_vcpus = whole<int>("vcpus_min=", v, line_no);
         } else if (k == "vcpus_max") {
-          spec.churn.max_vcpus = whole<int>("vcpus_max", v, line_no);
+          spec.churn.max_vcpus = whole<int>("vcpus_max=", v, line_no);
         } else if (k == "mem_min") {
-          spec.churn.min_mem_bytes = whole<std::int64_t>("mem_min", v, line_no);
+          spec.churn.min_mem_bytes = whole<std::int64_t>("mem_min=", v, line_no);
         } else if (k == "mem_max") {
-          spec.churn.max_mem_bytes = whole<std::int64_t>("mem_max", v, line_no);
+          spec.churn.max_mem_bytes = whole<std::int64_t>("mem_max=", v, line_no);
         } else if (k == "tickers") {
           spec.churn.ticker_fraction = number(v, line_no);
         } else {
@@ -292,10 +311,10 @@ ScenarioSpec parse_scenario(std::string_view text) {
         } else if (k == "start") {
           spec.openloop.start_s = number(v, line_no);
         } else if (k == "seed") {
-          spec.openloop.seed = whole<std::uint64_t>("seed", v, line_no);
+          spec.openloop.seed = whole<std::uint64_t>("seed=", v, line_no);
         } else if (k == "requests") {
           spec.openloop.max_requests =
-              whole<std::uint64_t>("requests", v, line_no);
+              whole<std::uint64_t>("requests=", v, line_no);
         } else if (k == "spike_at") {
           spec.openloop.spike_at_s = number(v, line_no);
         } else if (k == "spike_until") {
@@ -352,7 +371,7 @@ ScenarioSpec parse_scenario(std::string_view text) {
         if (k == "vm") {
           mig.vm = v;
         } else if (k == "to") {
-          mig.to_host = whole<int>("to", v, line_no);
+          mig.to_host = whole<int>("to=", v, line_no);
         } else if (k == "at") {
           mig.at_s = number(v, line_no);
         } else {

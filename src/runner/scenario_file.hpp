@@ -63,8 +63,11 @@
 // is marked, every spec/npb app is measured.
 //
 // Numbers take a K/M/G suffix (powers of 1024).  Counts, sizes, ids and
-// seeds must be whole and fit their field, and alternate=/measure= take 0
-// or 1; anything else is rejected with its line number.
+// seeds must be whole and fit their field (below 2^53 at most, where a
+// double still holds every whole number), scale/horizon/sampling must be
+// positive, alternate=/measure= take 0 or 1, and machine, scheduler, seed,
+// scale, horizon and sampling take exactly one argument; anything else is
+// rejected with its line number.
 #pragma once
 
 #include <string>

@@ -84,12 +84,6 @@ class Callback {
     }
   }
 
-  /// True if a callable of type F would live in the inline buffer.
-  template <typename F>
-  static constexpr bool stores_inline() {
-    return fits_inline<std::decay_t<F>>;
-  }
-
  private:
   struct Ops {
     void (*invoke)(void*);

@@ -50,9 +50,6 @@ class LatencyHistogram {
   bool empty() const { return count_ == 0; }
   double min_s() const { return count_ ? min_ : 0.0; }
   double max_s() const { return count_ ? max_ : 0.0; }
-  double mean_s() const {
-    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-  }
 
   // Ceil-rank order statistic; 0 on an empty histogram.
   double percentile(double p) const;

@@ -16,7 +16,6 @@ ComputeThread::ComputeThread(Init init)
                                      : static_cast<int>(phase_regions_.size())),
       shared_fraction_(std::clamp(init.shared_fraction, 0.0, 1.0)),
       name_(std::move(init.name)),
-      burstiness_(std::clamp(init.burstiness, 0.0, 0.9)),
       burst_rng_(0x9e3779b9u ^
                  static_cast<std::uint64_t>(init.region.first_chunk * 2654435761ll)),
       burst_budget_(init.burst_instructions) {
@@ -121,33 +120,13 @@ hv::BurstPlan ComputeThread::next_burst(sim::Time now) {
   // long-run behaviour.  Unbiased multiplicative jitter, so long windows
   // converge to the profile values.
   const double jitter =
-      1.0 + burstiness_ * (2.0 * burst_rng_.uniform() - 1.0);
+      1.0 + kBurstiness * (2.0 * burst_rng_.uniform() - 1.0);
   plan.profile.rpti = profile_->rpti * jitter;
   plan.profile.solo_miss = std::min(1.0, profile_->solo_miss * jitter);
   plan.profile.miss_sensitivity = profile_->miss_sensitivity;
   plan.profile.working_set_bytes = profile_->working_set_bytes;
   plan.profile.node_fractions = std::span<const double>(frac_buf_.data(), frac_buf_.size());
-  last_executed_ = executed_;
-  last_burst_done_ = burst_done_;
-  last_burst_budget_ = burst_budget_;
-  last_burst_valid_ = true;
   return plan;
-}
-
-bool ComputeThread::burst_unchanged(sim::Time now) {
-  (void)now;
-  // Reuse is claimed only when next_burst(now) would provably return the
-  // exact plan it last returned AND the skipped call has no observable side
-  // effect.  Zero burstiness makes the jitter factor exactly 1.0 regardless
-  // of the private RNG stream position, so the skipped draw is
-  // unobservable; any policy other than first-touch means next_burst()
-  // never mutates placement.  The progress counters pin plan.instructions,
-  // and (unchanged phase, unchanged placement version) pin frac_buf_.
-  return last_burst_valid_ && burstiness_ == 0.0 &&
-         memory_->policy() != numa::PlacementPolicy::kFirstTouch &&
-         executed_ == last_executed_ && burst_done_ == last_burst_done_ &&
-         burst_budget_ == last_burst_budget_ &&
-         memory_->placement_version() == cached_placement_version_;
 }
 
 hv::Outcome ComputeThread::advance(double instructions, sim::Time now) {

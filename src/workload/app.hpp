@@ -23,6 +23,12 @@ namespace vprobe::wl {
 
 class ComputeThread : public hv::VcpuWork {
  public:
+  /// Relative amplitude of per-burst variation in memory behaviour (RPTI,
+  /// miss rate).  Real access streams are bursty: a 100 ms PMU window
+  /// easily reads 15% off the long-run average, a 1 s window does not — the
+  /// effect behind Figure 8's short-period penalty.
+  static constexpr double kBurstiness = 0.15;
+
   struct Init {
     const AppProfile* profile = nullptr;
     numa::VmMemory* memory = nullptr;   ///< the owning VM's memory
@@ -40,11 +46,6 @@ class ComputeThread : public hv::VcpuWork {
     /// Natural stopping points (on_burst_end) every this many instructions;
     /// 0 = no stops (pure compute until done).
     double burst_instructions = 0.0;
-    /// Relative amplitude of per-burst variation in memory behaviour
-    /// (RPTI, miss rate).  Real access streams are bursty: a 100 ms PMU
-    /// window easily reads 15% off the long-run average, a 1 s window does
-    /// not — the effect behind Figure 8's short-period penalty.
-    double burstiness = 0.15;
     std::string name = "thread";
   };
 
@@ -80,7 +81,6 @@ class ComputeThread : public hv::VcpuWork {
   // -- VcpuWork ----------------------------------------------------------------
   hv::BurstPlan next_burst(sim::Time now) override;
   hv::Outcome advance(double instructions, sim::Time now) override;
-  bool burst_unchanged(sim::Time now) override;
 
  protected:
   /// Called when `burst_instructions` have been consumed since the last
@@ -119,7 +119,6 @@ class ComputeThread : public hv::VcpuWork {
 
   hv::Vcpu* vcpu_ = nullptr;
   std::vector<std::function<void(sim::Time)>> finish_listeners_;
-  double burstiness_;
   sim::Rng burst_rng_;
 
   double executed_ = 0.0;
@@ -130,13 +129,6 @@ class ComputeThread : public hv::VcpuWork {
   int cached_phase_ = -1;
   std::uint64_t cached_placement_version_ = ~0ull;
   std::array<double, 8> frac_buf_{};
-
-  /// Progress counters as of the last next_burst() — burst_unchanged() may
-  /// only claim reuse while they are exactly where that call left them.
-  double last_executed_ = 0.0;
-  double last_burst_done_ = 0.0;
-  double last_burst_budget_ = 0.0;
-  bool last_burst_valid_ = false;
 };
 
 /// Carve a per-phase sub-region out of `region` (equal slices).

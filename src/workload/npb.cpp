@@ -20,15 +20,15 @@ NpbApp::NpbApp(hv::Hypervisor& hv, hv::Domain& domain, Config config,
   // finished thread would leave the others waiting forever.
   const double raw_total = prof.default_instructions * config.instr_scale;
   const double iterations =
-      std::max(1.0, std::round(raw_total / config.iteration_instructions));
-  const double total = iterations * config.iteration_instructions;
+      std::max(1.0, std::round(raw_total / kIterationInstructions));
+  const double total = iterations * kIterationInstructions;
 
   // Data-parallel decomposition with genuinely shared data: one region all
-  // threads read (boundary/global arrays — the shared_fraction part) plus a
+  // threads read (boundary/global arrays — the kSharedFraction part) plus a
   // private slice per thread, further cut into the profile's phases.
   const std::int64_t shared_bytes = std::max<std::int64_t>(
       static_cast<std::int64_t>(static_cast<double>(prof.footprint_bytes) *
-                                config.shared_fraction),
+                                kSharedFraction),
       domain.memory().chunk_bytes());
   const numa::Region shared_region = domain.memory().alloc_region(shared_bytes);
   const std::int64_t per_thread_bytes =
@@ -48,8 +48,8 @@ NpbApp::NpbApp(hv::Hypervisor& hv, hv::Domain& domain, Config config,
     }
     init.total_instructions = total;
     init.phases = prof.phases;
-    init.shared_fraction = config.shared_fraction;
-    init.burst_instructions = config.iteration_instructions;
+    init.shared_fraction = kSharedFraction;
+    init.burst_instructions = kIterationInstructions;
     init.name = name_ + ".t" + std::to_string(i);
     threads_.push_back(std::make_unique<Thread>(std::move(init), this));
     Thread& t = *threads_.back();

@@ -23,14 +23,15 @@ namespace vprobe::wl {
 
 class NpbApp {
  public:
+  /// Instructions per thread per iteration (barrier interval).
+  static constexpr double kIterationInstructions = 20e6;
+  /// Fraction of accesses to the whole (shared) data set.
+  static constexpr double kSharedFraction = 0.4;
+
   struct Config {
     std::string profile = "lu";
     int threads = 4;
     double instr_scale = 1.0;
-    /// Instructions per thread per iteration (barrier interval).
-    double iteration_instructions = 20e6;
-    /// Fraction of accesses to the whole (shared) data set.
-    double shared_fraction = 0.4;
     std::string name;  ///< defaults to the profile name
   };
 

@@ -4,6 +4,8 @@
 // regression, guest tickers, burst jitter determinism.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/autonuma_sched.hpp"
 #include "core/brm_sched.hpp"
 #include "core/numa_balance.hpp"
@@ -267,14 +269,18 @@ TEST(BrmEdge, PenaltyZeroForCpuBoundVcpu) {
 TEST(NpbRegression, ThreadExitReleasesBarrierWaiters) {
   // Regression for a real deadlock: floating-point rounding can leave one
   // thread arriving at the final barrier while its siblings finish instead
-  // of arriving.  The app must still terminate.
+  // of arriving.  The app must still terminate.  The budget, sp's 14e9
+  // instructions scaled by 0.0093 (130.2e6), is not a multiple of the 20e6
+  // iteration, so the constructor rounds it to whole iterations.
   auto hv = test::make_credit_hv(3);
   hv::Domain& dom = hv->create_domain("VM1", 6 * kTestGB, 4,
                                       numa::PlacementPolicy::kFillFirst, 0);
   wl::NpbApp::Config cfg;
   cfg.profile = "sp";
-  cfg.instr_scale = 0.008;
-  cfg.iteration_instructions = 7e6;  // deliberately not a divisor-friendly size
+  cfg.instr_scale = 0.0093;
+  ASSERT_NE(std::fmod(wl::profile("sp").default_instructions * cfg.instr_scale,
+                      wl::NpbApp::kIterationInstructions),
+            0.0);
   auto vcpus = test::domain_vcpus(dom);
   wl::NpbApp app(*hv, dom, cfg, vcpus);
   hv->start();
@@ -342,7 +348,6 @@ TEST(PhaseRegions, ScatteredPhasesChangeAffinity) {
   init.phase_regions.push_back(dom.memory().alloc_region(1 * kTestGB));  // front: node 0
   init.shared_fraction = 0.0;
   init.total_instructions = 100e6;
-  init.burstiness = 0.0;
   wl::ComputeThread thread(init);
   thread.bind(*hv, dom.vcpu(0));
   hv->start();

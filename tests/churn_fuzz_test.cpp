@@ -564,6 +564,15 @@ TEST(Lifecycle, DestroyMidMigration) {
   checker.detach();
 }
 
+/// Advance in 100 us steps until `vcpu` blocks (at most 50 ms): a timed
+/// block lasts a few ms, far below run_until's poll step.
+void run_until_blocked(hv::Hypervisor& hv, const hv::Vcpu& vcpu) {
+  const sim::Time horizon = hv.now() + sim::Time::ms(50);
+  while (vcpu.state != hv::VcpuState::kBlocked && hv.now() < horizon) {
+    hv.engine().run_until(hv.now() + sim::Time::us(100));
+  }
+}
+
 /// A timed wake landing while the VCPU is paused must be latched and
 /// replayed on resume — not lost, and not delivered early.
 TEST(Lifecycle, PauseLatchesTimedWake) {
@@ -578,9 +587,7 @@ TEST(Lifecycle, PauseLatchesTimedWake) {
   hv->start();
   hv->wake(dom.vcpu(0));
   // Let it run into its first timed block.
-  runner::run_until(
-      *hv, [&] { return dom.vcpu(0).state == hv::VcpuState::kBlocked; },
-      sim::Time::ms(50), sim::Time::us(100));
+  run_until_blocked(*hv, dom.vcpu(0));
   ASSERT_EQ(dom.vcpu(0).state, hv::VcpuState::kBlocked);
 
   hv->pause_domain(dom);
@@ -591,9 +598,8 @@ TEST(Lifecycle, PauseLatchesTimedWake) {
   EXPECT_TRUE(dom.vcpu(0).wake_pending);
 
   hv->resume_domain(dom);
-  runner::run_until(
-      *hv, [&] { return work.executed > 1.5e6; },
-      hv->now() + sim::Time::ms(50), sim::Time::us(100));
+  runner::run_until(*hv, [&] { return work.executed > 1.5e6; },
+                    hv->now() + sim::Time::ms(50));
   EXPECT_GT(work.executed, 1.5e6) << "latched wake was not replayed";
 }
 
@@ -663,9 +669,7 @@ TEST(Lifecycle, RetireCancelsPendingTimedWake) {
   hv->bind_work(dom.vcpu(0), work);
   hv->start();
   hv->wake(dom.vcpu(0));
-  runner::run_until(
-      *hv, [&] { return dom.vcpu(0).state == hv::VcpuState::kBlocked; },
-      sim::Time::ms(50), sim::Time::us(100));
+  run_until_blocked(*hv, dom.vcpu(0));
   ASSERT_EQ(dom.vcpu(0).state, hv::VcpuState::kBlocked);
 
   hv->destroy_domain(dom);

@@ -89,10 +89,9 @@ cluster::HostSpace make_space(std::vector<std::int64_t> free,
 
 /// pick_host with the same request on every host (one chunk size).
 int pick_for_all(const std::vector<cluster::HostSpace>& hosts,
-                 const cluster::PlacementRequest& req,
-                 const cluster::PlacementPolicyConfig& cfg = {}) {
+                 const cluster::PlacementRequest& req) {
   const std::vector<cluster::PlacementRequest> reqs(hosts.size(), req);
-  return cluster::pick_host(hosts, reqs, cfg);
+  return cluster::pick_host(hosts, reqs);
 }
 
 TEST(Placement, ShapeFitNeedsKDistinctNodes) {
@@ -141,11 +140,14 @@ TEST(Placement, InfeasibleWhenMemoryOrCpuCapExceeded) {
   hosts.push_back(make_space({4, 4}, {100, 100}, 0, 4));
   EXPECT_EQ(pick_for_all(hosts, cluster::PlacementRequest{50, 1}), -1);
 
-  cluster::PlacementPolicyConfig strict;
-  strict.cpu_overcommit = 1.0;
+  // The CPU cap admits up to kCpuOvercommit VCPUs per PCPU and no more:
+  // 63 live VCPUs on 8 PCPUs take one more, not two.
+  const int cap = static_cast<int>(8 * cluster::kCpuOvercommit);
   std::vector<cluster::HostSpace> full;
-  full.push_back(make_space({80, 80}, {100, 100}, 8, 4));  // 8 VCPUs on 8 PCPUs
-  EXPECT_EQ(pick_for_all(full, cluster::PlacementRequest{4, 1}, strict), -1);
+  full.push_back(make_space({80, 80}, {100, 100}, cap - 1, 4));
+  full[0].host = 0;
+  EXPECT_EQ(pick_for_all(full, cluster::PlacementRequest{4, 1}), 0);
+  EXPECT_EQ(pick_for_all(full, cluster::PlacementRequest{4, 2}), -1);
 }
 
 TEST(Placement, AdmitPicksWhatPickHostPicksOnAMixedFleet) {
@@ -176,7 +178,7 @@ TEST(Placement, AdmitPicksWhatPickHostPicksOnAMixedFleet) {
       spaces.push_back(fleet.host_space(id));
       reqs.push_back({(vm.mem_bytes + chunk - 1) / chunk, vm.vcpus});
     }
-    const int expected = cluster::pick_host(spaces, reqs, ccfg.placement);
+    const int expected = cluster::pick_host(spaces, reqs);
     const int vm_id = fleet.admit(std::move(vm));
     if (expected < 0) {
       EXPECT_EQ(vm_id, -1) << "admission " << i;
@@ -195,7 +197,7 @@ TEST(Placement, AdmitPicksWhatPickHostPicksOnAMixedFleet) {
   // One request per host: a short list is a caller bug, not a refusal.
   const std::vector<cluster::HostSpace> two(2);
   const std::vector<cluster::PlacementRequest> one(1);
-  EXPECT_THROW(cluster::pick_host(two, one, ccfg.placement), std::invalid_argument);
+  EXPECT_THROW(cluster::pick_host(two, one), std::invalid_argument);
 }
 
 // -- Cluster-of-1 == single machine -------------------------------------------

@@ -336,32 +336,43 @@ TEST(Brm, ChargesLockWaitOverhead) {
 // -------------------------------------------------------- DynamicBounds ----
 
 TEST(DynamicBoundsTest, MovesTowardQuantiles) {
+  // Six pressures: the 1/3-quantile interpolates to 2 + 2/3, the
+  // 2/3-quantile to 20 + 5/3.  One update moves each bound 0.3 of the way
+  // there from the paper's 3 and 20.
   PmuDataAnalyzer analyzer;
-  DynamicBounds::Config cfg;
-  cfg.smoothing = 1.0;  // jump straight to the quantiles
-  DynamicBounds db(cfg);
-  db.update(analyzer, {1.0, 2.0, 3.0, 20.0, 25.0, 30.0});
+  DynamicBounds::update(analyzer, {1.0, 2.0, 3.0, 20.0, 25.0, 30.0});
+  const double q_low = 2.0 + 2.0 / 3.0;
+  const double q_high = 20.0 + 5.0 / 3.0;
+  EXPECT_DOUBLE_EQ(analyzer.config().low,
+                   3.0 + DynamicBounds::kSmoothing * (q_low - 3.0));
+  EXPECT_DOUBLE_EQ(analyzer.config().high,
+                   20.0 + DynamicBounds::kSmoothing * (q_high - 20.0));
   EXPECT_LT(analyzer.config().low, 3.0);
   EXPECT_GT(analyzer.config().high, 20.0);
 }
 
 TEST(DynamicBoundsTest, EmptyInputIsNoOp) {
   PmuDataAnalyzer analyzer;
-  DynamicBounds db;
-  db.update(analyzer, {});
+  DynamicBounds::update(analyzer, {});
   EXPECT_DOUBLE_EQ(analyzer.config().low, 3.0);
   EXPECT_DOUBLE_EQ(analyzer.config().high, 20.0);
 }
 
 TEST(DynamicBoundsTest, RespectsEnvelopeAndGap) {
+  // Far above the envelope: both bounds clamp to their maxima.
   PmuDataAnalyzer analyzer;
-  DynamicBounds::Config cfg;
-  cfg.smoothing = 1.0;
-  DynamicBounds db(cfg);
-  db.update(analyzer, {100.0, 200.0, 300.0});
-  EXPECT_LE(analyzer.config().low, DynamicBounds::kMaxLow);
-  EXPECT_LE(analyzer.config().high, DynamicBounds::kMaxHigh);
-  EXPECT_GE(analyzer.config().high - analyzer.config().low, DynamicBounds::kMinGap);
+  DynamicBounds::update(analyzer, {100.0, 200.0, 300.0});
+  EXPECT_DOUBLE_EQ(analyzer.config().low, DynamicBounds::kMaxLow);
+  EXPECT_DOUBLE_EQ(analyzer.config().high, DynamicBounds::kMaxHigh);
+
+  // Every VCPU at the same pressure: the smoothed bounds converge on it,
+  // low clamps to kMaxLow and high is pushed up to keep the gap.
+  PmuDataAnalyzer flat;
+  for (int period = 0; period < 60; ++period) {
+    DynamicBounds::update(flat, {9.0, 9.0, 9.0});
+  }
+  EXPECT_DOUBLE_EQ(flat.config().low, DynamicBounds::kMaxLow);
+  EXPECT_DOUBLE_EQ(flat.config().high, DynamicBounds::kMaxLow + DynamicBounds::kMinGap);
 }
 
 }  // namespace

@@ -426,20 +426,16 @@ TEST_F(VmMemoryTest, DestructorReleasesMemory) {
 TEST_F(VmMemoryTest, PageMigratorMovesTowardTarget) {
   VmMemory vm(mm_, cfg_, 1 * kGB, PlacementPolicy::kOnNode, 0);
   const Region r = vm.alloc_region(256 * kMB);  // 64 chunks
-  PageMigrator::Config mcfg;
-  mcfg.max_chunks_per_round = 16;
-  const PageMigrator migrator(mcfg);
-  const auto result = migrator.rebalance(vm, r, 1);
-  EXPECT_EQ(result.chunks_moved, 16);
-  EXPECT_EQ(result.cost, PageMigrator::kCostPerChunk * 16);
+  const auto result = PageMigrator::rebalance(vm, r, 1);
+  EXPECT_EQ(result.chunks_moved, PageMigrator::kMaxChunksPerRound);
+  EXPECT_EQ(result.cost, PageMigrator::kCostPerChunk * PageMigrator::kMaxChunksPerRound);
   EXPECT_NEAR(vm.node_fractions(r)[1], 16.0 / 64.0, 1e-9);
 }
 
 TEST_F(VmMemoryTest, PageMigratorStopsWhenSatisfied) {
   VmMemory vm(mm_, cfg_, 1 * kGB, PlacementPolicy::kOnNode, 1);
   const Region r = vm.alloc_region(128 * kMB);
-  const PageMigrator migrator;
-  const auto result = migrator.rebalance(vm, r, 1);
+  const auto result = PageMigrator::rebalance(vm, r, 1);
   EXPECT_EQ(result.chunks_moved, 0);
   EXPECT_EQ(result.cost, sim::Time::zero());
 }

@@ -1,6 +1,6 @@
 // Rate-cache suite: the bit-identical reuse paths behind the
-// --no-rate-cache escape hatch (the tracker decay memo, the unchanged-burst
-// reuse and the slice-clamp floor), and the cache-on/off differential.
+// --no-rate-cache escape hatch (the slice clamp and decay memos), and the
+// cache-on/off differential.
 //
 // Reuse may only happen when it is provably bit-identical to a full
 // recomputation, so the tests here are exact-equality tests (EXPECT_EQ on
@@ -9,10 +9,8 @@
 
 #include <array>
 #include <cctype>
-#include <memory>
 #include <string>
 #include <tuple>
-#include <vector>
 
 #include "check/invariants.hpp"
 #include "numa/machine_config.hpp"
@@ -22,11 +20,8 @@
 #include "runner/churn.hpp"
 #include "runner/scenario.hpp"
 #include "scenario_helpers.hpp"
-#include "test_helpers.hpp"
 #include "trace/digest.hpp"
 #include "trace/tracer.hpp"
-#include "workload/app.hpp"
-#include "workload/profile.hpp"
 
 namespace vprobe {
 namespace {
@@ -80,108 +75,6 @@ TEST(SliceClamp, MinNsPerInstrIsAHardFloor) {
   EXPECT_GE(model.ns_per_instr(zero, 0, 0.0, Time::ms(2)), floor);
   EXPECT_EQ(model.ns_per_instr(zero, 0, 0.0, Time::ms(2)), floor);
   EXPECT_GT(model.ns_per_instr(profile, 0, 0.3, Time::ms(2)), floor);
-}
-
-// ------------------------------------------------ burst-plan reuse ----
-
-TEST(BurstReuse, FakeWorkClaimsReuseOnlyWhenNothingMoved) {
-  test::FakeWork w;
-  w.rpti = 5.0;
-  EXPECT_FALSE(w.burst_unchanged(Time::ms(1)));  // nothing recorded yet
-  (void)w.next_burst(Time::ms(1));
-  EXPECT_TRUE(w.burst_unchanged(Time::ms(2)));
-  (void)w.advance(100.0, Time::ms(2));  // progress invalidates
-  EXPECT_FALSE(w.burst_unchanged(Time::ms(2)));
-  (void)w.next_burst(Time::ms(2));
-  EXPECT_TRUE(w.burst_unchanged(Time::ms(3)));
-  w.rpti = 6.0;  // knob mutation invalidates
-  EXPECT_FALSE(w.burst_unchanged(Time::ms(3)));
-}
-
-TEST(BurstReuse, ComputeThreadNeverClaimsReuseWithJitterOrFirstTouch) {
-  auto hv = test::make_credit_hv();
-  hv::Domain& dom = hv->create_domain("VM1", 2 * test::kTestGB, 2,
-                                      numa::PlacementPolicy::kFillFirst, 0);
-  const wl::AppProfile& prof = wl::profile("soplex");
-
-  auto make_thread = [&](double burstiness) {
-    wl::ComputeThread::Init init;
-    init.profile = &prof;
-    init.memory = &dom.memory();
-    init.region = dom.memory().alloc_region(64ll << 20);
-    init.total_instructions = 1.0e12;
-    init.burstiness = burstiness;
-    return wl::ComputeThread(init);
-  };
-
-  // Burstiness draws a jitter per next_burst: skipping the call would shift
-  // the RNG stream, so reuse must never be claimed.
-  wl::ComputeThread jittery = make_thread(0.15);
-  jittery.bind(*hv, dom.vcpu(0));
-  (void)jittery.next_burst(Time::ms(1));
-  EXPECT_FALSE(jittery.burst_unchanged(Time::ms(1)));
-
-  // Deterministic thread: reuse is claimed until progress moves.
-  wl::ComputeThread steady = make_thread(0.0);
-  steady.bind(*hv, dom.vcpu(1));
-  (void)steady.next_burst(Time::ms(1));
-  EXPECT_TRUE(steady.burst_unchanged(Time::ms(1)));
-  (void)steady.advance(1000.0, Time::ms(2));
-  EXPECT_FALSE(steady.burst_unchanged(Time::ms(2)));
-}
-
-TEST(BurstReuse, StalePlanIsNotReusedAfterCrossPcpuBounce) {
-  // Regression: a VCPU caches a plan on PCPU A, advances there, produces a
-  // fresh plan on PCPU B, and leaves B through a zero-instruction segment
-  // (descheduled inside the switch-in stall, so advance(0.0) keeps every
-  // progress counter bit-equal to the latest next_burst snapshot).  Back on
-  // A, burst_unchanged() truthfully reports the *latest* plan would repeat —
-  // but A still holds the older one, stale by everything executed since.
-  // The burst-sequence guard must reject it; without the guard the stale
-  // instruction cap binds and the thread overshoots its total.
-  hv::Hypervisor::Config cfg;
-  cfg.seed = 1;
-  cfg.slice = Time::ms(100);           // whole burst fits in one slice
-  cfg.context_switch_cost = Time::us(50);  // wide zero-work window after switch-in
-  auto hv = std::make_unique<hv::Hypervisor>(
-      cfg, std::make_unique<test::FifoScheduler>());
-  hv::Domain& dom = hv->create_domain("VM1", test::kTestGB, 1,
-                                      numa::PlacementPolicy::kFillFirst, 0);
-  hv::Vcpu& v = dom.vcpu(0);
-  test::FakeWork w;
-  w.total_instructions = 100.0e6;  // pure CPU: ~40 ms of work
-  hv->bind_work(v, w);
-  hv->start();
-
-  const numa::PcpuId pa = 0;
-  const numa::PcpuId pb = 1;
-  v.pin_to(pa);
-  hv->wake(v);
-  hv->engine().run_until(Time::ms(10));
-  ASSERT_EQ(v.state, hv::VcpuState::kRunning);
-  ASSERT_EQ(v.pcpu, pa);
-
-  // Deschedule mid-segment: A keeps its cached plan, now permanently stale.
-  hv->pause_domain(dom);
-  const double executed_on_a = w.executed;
-  ASSERT_GT(executed_on_a, 0.0);
-
-  // One fresh next_burst on B, then deschedule before any work retires.
-  v.pin_to(pb);
-  hv->resume_domain(dom);
-  hv->engine().run_until(Time::ms(10) + Time::us(10));
-  ASSERT_EQ(v.pcpu, pb);
-  hv->pause_domain(dom);
-  ASSERT_EQ(w.executed, executed_on_a) << "segment on B retired work";
-  ASSERT_TRUE(w.burst_unchanged(hv->now()));  // reuse-eligible w.r.t. B's plan
-
-  // Return to A and run to completion: the guard must force a fresh plan.
-  v.pin_to(pa);
-  hv->resume_domain(dom);
-  hv->engine().run_until(Time::ms(300));
-  EXPECT_TRUE(w.finished);
-  EXPECT_LE(w.executed, w.total_instructions + 1.0)
-      << "stale burst plan reused after cross-PCPU bounce";
 }
 
 // ------------------------------------------- differential property ----

@@ -183,10 +183,9 @@ TEST(StandardVmsTest, Dom0BackendIsRunning) {
 TEST(StandardVmsTest, RunUntilHonoursHorizonAndPredicate) {
   auto hv = make_hypervisor(SchedKind::kCredit);
   int calls = 0;
-  const bool ok = run_until(
-      *hv, [&] { return ++calls >= 3; }, sim::Time::sec(10), sim::Time::ms(100));
+  const bool ok = run_until(*hv, [&] { return ++calls >= 3; }, sim::Time::sec(10));
   EXPECT_TRUE(ok);
-  EXPECT_LT(hv->now(), sim::Time::sec(1));
+  EXPECT_EQ(hv->now(), kPollStep * 2);  // polled at 0, one step and two
 
   auto hv2 = make_hypervisor(SchedKind::kCredit);
   const bool timed_out = run_until(*hv2, [] { return false; }, sim::Time::ms(500));
@@ -391,6 +390,18 @@ TEST(ScenarioFile, RejectsBrokenInput) {
       {"app vm=A kind=hungry count=1.5", "count= must be a whole number"},
       {"churn max_live=2.5", "max_live= must be a whole number"},
       {"openloop rps=1e3 requests=-1", "requests= must be a whole number"},
+      // Directive arguments go through the same helpers, one argument each.
+      {"seed 12abc", "malformed number: 12abc"},
+      {"seed 1.5", "seed must be a whole number"},
+      {"seed 9007199254740993", "seed must be a whole number"},
+      {"scale 0.02x", "malformed number: 0.02x"},
+      {"scale nan", "scale must be a positive number"},
+      {"horizon 5 extra", "horizon takes one argument, got extra 'extra'"},
+      {"sampling 0", "sampling must be a positive number"},
+      {"machine xeon_e5620 four_node", "machine takes one argument"},
+      {"scheduler", "scheduler needs an argument"},
+      {"machines xeon_e5620*2.5", "machines count must be a whole number"},
+      {"machines xeon_e5620*2x", "malformed number: 2x"},
   };
   for (const auto& row : numbers) {
     try {

@@ -102,7 +102,7 @@ inline void run_mini(MiniScenario& sc,
   for (hv::Domain* dom : {sc.vm1, sc.vm2}) {
     for (auto* vcpu : domain_vcpus(*dom)) sc.hv->wake(*vcpu);
   }
-  runner::run_until(*sc.hv, [] { return false; }, horizon, sim::Time::ms(50));
+  runner::run_until(*sc.hv, [] { return false; }, horizon);
 }
 
 }  // namespace vprobe::test

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "runner/scenario_file.hpp"
 #include "runner/sweep.hpp"
 #include "stats/csv.hpp"
 #include "stats/metrics.hpp"
@@ -89,6 +90,57 @@ TEST(Csv, WritesEscapedRows) {
 
 TEST(Csv, ThrowsOnBadPath) {
   EXPECT_THROW(CsvWriter("/nonexistent-dir/x.csv", {"a"}), std::runtime_error);
+}
+
+// ------------------------------------------------------------ Host CSV ----
+
+std::vector<std::string> read_lines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(HostCsv, OneRowPerHostOfAFleetRun) {
+  // run_scenario --hosts-csv writes this file.
+  const stats::RunMetrics m = runner::run_scenario(runner::parse_scenario(
+      "machines xeon_e5620 four_node\n"
+      "horizon 0.05\n"
+      "vm name=a mem=1G vcpus=2 host=0\n"
+      "vm name=b mem=1G vcpus=2 host=1\n"
+      "app vm=a kind=hungry\n"
+      "app vm=b kind=hungry\n"));
+  ASSERT_EQ(m.hosts.size(), 2u);
+  const std::string path = testing::TempDir() + "vprobe_hosts_test.csv";
+  write_host_csv(path, m);
+  const auto lines = read_lines(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[0],
+            "host,machine,domains,vcpus,busy_s,migrations,cross_node_migrations,"
+            "trace_records,trace_digest,requests,latency_p50_s,latency_p99_s,"
+            "latency_p999_s,slo_violations");
+  for (std::size_t i = 0; i < 2; ++i) {
+    const HostMetrics& h = m.hosts[i];
+    EXPECT_EQ(lines[i + 1].rfind(h.name + "," + h.machine + ",1,2,", 0), 0u) << lines[i + 1];
+    EXPECT_NE(lines[i + 1].find("," + hex_digest(h.trace_digest) + ","), std::string::npos)
+        << lines[i + 1];
+  }
+  EXPECT_EQ(m.hosts[0].machine, "xeon_e5620");
+  EXPECT_EQ(m.hosts[1].machine, "four_node");
+}
+
+TEST(HostCsv, SingleMachineRunWritesNothing) {
+  const stats::RunMetrics m = runner::run_scenario(runner::parse_scenario(
+      "machine xeon_e5620\n"
+      "horizon 0.05\n"
+      "vm name=a mem=1G vcpus=2\n"
+      "app vm=a kind=spec profile=milc\n"));
+  ASSERT_FALSE(m.is_cluster_run());
+  const std::string path = testing::TempDir() + "vprobe_hosts_single.csv";
+  std::remove(path.c_str());
+  write_host_csv(path, m);
+  EXPECT_FALSE(std::ifstream(path).good()) << "no file for a single machine";
 }
 
 // --------------------------------------------------------------- Sweep ----

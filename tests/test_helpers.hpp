@@ -2,7 +2,6 @@
 // and small scenario builders.
 #pragma once
 
-#include <array>
 #include <memory>
 #include <vector>
 
@@ -41,25 +40,7 @@ class FakeWork : public hv::VcpuWork {
     plan.profile.miss_sensitivity = sensitivity;
     plan.profile.working_set_bytes = working_set;
     plan.profile.node_fractions = fractions;
-    last_executed_ = executed;
-    last_since_block_ = since_block_;
-    last_fields_ = {rpti, solo_miss, sensitivity, working_set, burst,
-                    total_instructions};
-    last_fractions_ = fractions;
-    last_valid_ = true;
     return plan;
-  }
-
-  // FakeWork is deterministic and side-effect free, so reuse is safe
-  // whenever every input of next_burst() is where the last call left it
-  // (tests may mutate the public knobs mid-run, hence the field snapshot).
-  bool burst_unchanged(sim::Time) override {
-    return last_valid_ && executed == last_executed_ &&
-           since_block_ == last_since_block_ &&
-           last_fields_ == std::array<double, 6>{rpti, solo_miss, sensitivity,
-                                                working_set, burst,
-                                                total_instructions} &&
-           last_fractions_ == fractions;
   }
 
   hv::Outcome advance(double instructions, sim::Time) override {
@@ -82,11 +63,6 @@ class FakeWork : public hv::VcpuWork {
 
  private:
   double since_block_ = 0.0;
-  double last_executed_ = 0.0;
-  double last_since_block_ = 0.0;
-  std::array<double, 6> last_fields_{};
-  std::vector<double> last_fractions_;
-  bool last_valid_ = false;
 };
 
 /// Minimal round-robin scheduler with no stealing and no priorities —
@@ -100,7 +76,7 @@ class FifoScheduler : public hv::Scheduler {
     hv_->pcpu(v.pcpu).queue.insert(v);
   }
   hv::Decision do_schedule(hv::Pcpu& p) override {
-    return {p.queue.pop_front(), hv_->config().slice};
+    return {p.queue.pop_front()};
   }
 };
 

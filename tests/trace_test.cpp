@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "core/page_policy.hpp"
 #include "core/vprobe_sched.hpp"
+#include "numa/page_migration.hpp"
 #include "runner/scenario.hpp"
 #include "test_helpers.hpp"
 #include "trace/analysis.hpp"
@@ -173,6 +178,47 @@ TEST(TraceDigest, HexIsSixteenLowercaseDigits) {
 TEST(TracerTest, EventNames) {
   EXPECT_STREQ(to_string(EventKind::kSwitchIn), "switch-in");
   EXPECT_STREQ(to_string(EventKind::kPageMove), "page-move");
+  // Every kind has its own name; only the kCount sentinel prints "?".
+  std::vector<std::string> names;
+  for (int k = 0; k < static_cast<int>(EventKind::kCount); ++k) {
+    const std::string name = to_string(static_cast<EventKind>(k));
+    EXPECT_NE(name, "?") << "kind " << k;
+    EXPECT_EQ(std::count(names.begin(), names.end(), name), 0) << name;
+    names.push_back(name);
+  }
+  EXPECT_STREQ(to_string(EventKind::kCount), "?");
+}
+
+/// Everything Tracer::dump writes, read back through a temporary file.
+std::string dump_text(const Tracer& tracer, std::size_t limit) {
+  std::FILE* f = std::tmpfile();
+  if (f == nullptr) return "tmpfile failed";
+  tracer.dump(f, limit);
+  std::rewind(f);
+  std::string out;
+  for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f)) out.push_back(static_cast<char>(c));
+  std::fclose(f);
+  return out;
+}
+
+TEST(TracerTest, DumpPrintsTheNewestRecordsThenTotals) {
+  // placement_trace prints this format: one fixed-width line per retained
+  // record (the newest `limit`), then the run totals.
+  Tracer tracer(4);
+  tracer.record(sim::Time::ms(1), EventKind::kWake, 3, 0);
+  tracer.record(sim::Time::ms(2), EventKind::kSwitchIn, 3, 1);
+  tracer.record(sim::Time::us(2500), EventKind::kMigration, 12, 5, 1);
+  tracer.record(sim::Time::sec(2), EventKind::kDomainDestroy, -1, -1, 7);
+  tracer.record(sim::Time::seconds(1234.5), EventKind::kPageMove, 4, 2, 16);
+  EXPECT_EQ(dump_text(tracer, 3),
+            "[    0.002500] migration  vcpu=12  pcpu=5  aux=1\n"
+            "[    2.000000] domain-destroy vcpu=-1  pcpu=-1 aux=7\n"
+            "[ 1234.500000] page-move  vcpu=4   pcpu=2  aux=16\n"
+            "total=5 dropped=1\n");
+  // The default limit covers the whole (wrapped) ring, oldest first.
+  EXPECT_EQ(dump_text(tracer, 50).substr(0, 49),
+            "[    0.002000] switch-in  vcpu=3   pcpu=1  aux=0\n");
+  EXPECT_EQ(dump_text(Tracer(8), 50), "total=0 dropped=0\n");
 }
 
 // ------------------------------------------------------ Hypervisor hooks ----
@@ -339,23 +385,29 @@ TEST(PagePolicyTest, SkipsLlcFriendlyVcpus) {
 }
 
 TEST(PagePolicyTest, RespectsMachineBudget) {
+  // Six stranded milc VCPUs, one 175-chunk region each: the migrator would
+  // move 16 chunks per region (96 in all), but the machine budget stops the
+  // pass once 64 have moved, before the fifth VCPU is considered.
+  constexpr int kStranded = 6;
+  static_assert(kStranded * numa::PageMigrator::kMaxChunksPerRound >
+                core::PagePolicy::kMachineBudgetPerPeriod);
   auto hv = test::make_credit_hv();
-  hv::Domain& dom = hv->create_domain("VM", 4 * kTestGB, 2,
+  hv::Domain& dom = hv->create_domain("VM", 6 * kTestGB, kStranded,
                                       numa::PlacementPolicy::kOnNode, 0);
-  wl::SpecApp a0(*hv, dom, dom.vcpu(0), "milc", 0.05);
-  wl::SpecApp a1(*hv, dom, dom.vcpu(1), "milc", 0.05);
-  for (std::size_t i = 0; i < 2; ++i) {
+  std::vector<std::unique_ptr<wl::SpecApp>> apps;
+  for (std::size_t i = 0; i < kStranded; ++i) {
+    apps.push_back(std::make_unique<wl::SpecApp>(*hv, dom, dom.vcpu(i), "milc", 0.05));
     dom.vcpu(i).vcpu_type = hv::VcpuType::kLlcThrashing;
     hv->migrate_to_node(dom.vcpu(i), 1);
   }
-  core::PagePolicy::Options opts;
-  opts.machine_budget_per_period = 8;
-  opts.migrator.max_chunks_per_round = 4;
-  core::PagePolicy policy(opts);
+  core::PagePolicy policy;
   const auto result = policy.run(*hv);
-  EXPECT_LE(result.chunks_moved, 12)
-      << "per-round cap x regions bounded by machine budget + overshoot";
-  EXPECT_GT(result.chunks_moved, 0);
+  EXPECT_EQ(result.chunks_moved, core::PagePolicy::kMachineBudgetPerPeriod);
+  EXPECT_EQ(result.vcpus_considered,
+            core::PagePolicy::kMachineBudgetPerPeriod /
+                numa::PageMigrator::kMaxChunksPerRound);
+  EXPECT_EQ(result.cost,
+            numa::PageMigrator::kCostPerChunk * core::PagePolicy::kMachineBudgetPerPeriod);
 }
 
 TEST(PagePolicyTest, VprobeIntegrationReducesRemoteAccesses) {
